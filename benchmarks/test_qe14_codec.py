@@ -1,50 +1,40 @@
-"""QE14 — the binary wire codec vs the JSON framing it replaced.
+"""QE14 — the binary wire codec vs a JSON framing of the same frames.
 
-The shard channels and the write-ahead journal both moved from JSON
-frames to the interning binary codec (:mod:`repro.parallel.codec`).
-Four measurements:
+The shard channels, the write-ahead journal, and shard snapshots all
+speak the interning binary codec (:mod:`repro.parallel.codec`).  Two
+measurements:
 
 * **Codec microbench** — encode+decode of the seeded mixed event corpus
   (the interleaved multi-force stream the shard channels actually
-  carry), production JSON path (``event_to_wire`` → ``json.dumps`` →
-  ``json.loads`` → ``event_from_wire``) vs the binary codec with warm
-  intern tables.  The binary codec must be >= 3x faster.  Rounds
-  interleave the two paths and the ratio is taken best-vs-best, so a
-  noise spike that lands on one path's consecutive runs cannot fake (or
-  mask) a regression.
-* **Differential equivalence** — the serial backend, the process
-  backend over binary wire, and the process backend over JSON wire must
-  produce identical per-instance notification order and identical
-  multisets of delivery provenance signatures.
-* **End-to-end throughput** — the 4-shard QE11 configuration over both
-  codecs; binary wire must clear 1.15x the JSON-wire throughput (needs
-  >= 4 cores; recorded but not asserted on smaller machines).
-* **Durable journaling** — the QE12 durable configuration over both
-  codecs; the binary-journal run must come in strictly below the
-  JSON-journal measurement.
+  carry): a bench-local JSON reference (event → tagged dict →
+  ``json.dumps`` → ``json.loads`` → ``Event.trusted``, the shape the
+  retired JSON wire had) vs the binary codec with warm intern tables.
+  The binary codec must be >= 3x faster.  Rounds interleave the two
+  paths and the ratio is taken best-vs-best, so a noise spike that
+  lands on one path's consecutive runs cannot fake (or mask) a
+  regression.
+* **Differential equivalence** — the serial backend and the process
+  backend over the binary wire must produce identical per-instance
+  notification order and identical multisets of delivery provenance
+  signatures.
 
-A pre-existing JSON journal must also still replay: a durable run over
-JSON wire is resumed by a binary-default federation, which upgrades the
-journals in place without losing a frame.
-
-``REPRO_QE14_SMOKE=1`` shrinks the corpus and skips the timing asserts
-that are meaningless on shared CI runners (the microbench ratio is
-still asserted — it is a pure-CPU property, not a scaling one).
+``REPRO_QE14_SMOKE=1`` shrinks the corpus (the microbench ratio is still
+asserted — it is a pure-CPU property, not a scaling one).
 """
 
 import json
 import multiprocessing
 import os
 import statistics
-import tempfile
 import time
 
 import pytest
 
+from repro.events.event import Event
 from repro.metrics.report import render_table
 from repro.parallel import ShardConfig, ShardedFederation
 from repro.parallel.codec import BinaryDecoder, BinaryEncoder
-from repro.parallel.wire import event_from_wire, event_to_wire
+from repro.parallel.wire import resolve_event_type
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 SMOKE = bool(os.environ.get("REPRO_QE14_SMOKE"))
@@ -54,12 +44,7 @@ WINDOWS_PER_FORCE = 3 if SMOKE else 6
 EVENTS_PER_FORCE = 120 if SMOKE else 400
 WAVE = 128
 ROUNDS = 7 if SMOKE else 11
-REPS = 1 if SMOKE else 2
 MICRO_SPEEDUP_FLOOR = 3.0
-E2E_SPEEDUP_FLOOR = 1.15
-
-#: The scaling assertion needs actual cores to scale onto.
-CORES = len(os.sched_getaffinity(0))
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -82,16 +67,58 @@ def make_workload():
 # ---------------------------------------------------------------------------
 
 
+def to_json(value):
+    """Tag the value shapes JSON lacks, as the retired JSON wire did."""
+    if isinstance(value, frozenset):
+        return {"$fs": sorted((to_json(member) for member in value), key=repr)}
+    if isinstance(value, tuple):
+        return {"$t": [to_json(member) for member in value]}
+    return value
+
+
+def from_json(value):
+    if isinstance(value, dict):
+        if "$fs" in value:
+            return frozenset(from_json(member) for member in value["$fs"])
+        if "$t" in value:
+            return tuple(from_json(member) for member in value["$t"])
+    return value
+
+
+def json_frame(wave):
+    """The events frame as JSON bytes: type name + tagged parameters."""
+    frame = {
+        "kind": "events",
+        "events": [
+            {
+                "type": event.type_name,
+                "params": {
+                    key: to_json(value)
+                    for key, value in event.params.items()
+                    if key != "type"
+                },
+            }
+            for event in wave
+        ],
+    }
+    return json.dumps(frame, separators=(",", ":")).encode("utf-8")
+
+
+def json_events(data):
+    """Events back from :func:`json_frame` bytes."""
+    return [
+        Event.trusted(
+            resolve_event_type(entry["type"]),
+            {key: from_json(value) for key, value in entry["params"].items()},
+        )
+        for entry in json.loads(data)["events"]
+    ]
+
+
 def json_pass(waves):
-    """The production JSON path: wire dicts + compact dumps, both ways."""
+    """The bench-local JSON reference, both ways."""
     for wave in waves:
-        frame = {
-            "kind": "events",
-            "events": [event_to_wire(event) for event in wave],
-        }
-        data = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-        decoded = json.loads(data)
-        events = [event_from_wire(entry) for entry in decoded["events"]]
+        events = json_events(json_frame(wave))
         assert len(events) == len(wave)
 
 
@@ -110,6 +137,10 @@ def test_qe14_codec_microbench(benchmark, record_table):
     waves = [events[i : i + WAVE] for i in range(0, len(events), WAVE)]
     encoder, decoder = BinaryEncoder(), BinaryDecoder()
 
+    # The reference is a faithful codec, not a strawman.
+    assert [dict(event.params) for event in json_events(json_frame(events))] == [
+        dict(event.params) for event in events
+    ]
     # Warm-up: steady-state intern tables, warm caches for both paths.
     json_pass(waves)
     binary_pass(waves, encoder, decoder)
@@ -129,18 +160,7 @@ def test_qe14_codec_microbench(benchmark, record_table):
     speedup = min(json_times) / min(binary_times)
     benchmark(binary_pass, waves, encoder, decoder)
 
-    json_bytes = sum(
-        len(
-            json.dumps(
-                {
-                    "kind": "events",
-                    "events": [event_to_wire(event) for event in wave],
-                },
-                separators=(",", ":"),
-            ).encode("utf-8")
-        )
-        for wave in waves
-    )
+    json_bytes = sum(len(json_frame(wave)) for wave in waves)
     binary_bytes = sum(
         len(encoder.encode_frame({"kind": "events", "events": list(wave)}))
         for wave in waves
@@ -172,39 +192,19 @@ def test_qe14_codec_microbench(benchmark, record_table):
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: differential + throughput + journaling
+# End-to-end differential
 # ---------------------------------------------------------------------------
 
 
-def drive(workload, shards, backend, wire_codec, durable_dir=None):
-    events = workload.events()  # generated outside the timed section
-    config = ShardConfig(
-        shards=shards,
-        backend=backend,
-        wire_codec=wire_codec,
-        durable_dir=durable_dir,
-        instrument=True,
-    )
+def drive(workload, shards, backend):
+    events = workload.events()
+    config = ShardConfig(shards=shards, backend=backend, instrument=True)
     with ShardedFederation(workload.blueprint(), config) as federation:
-        started = time.perf_counter()
         federation.ingest(events)
         federation.drain()
         notifications = list(federation.delivered)
-        elapsed = time.perf_counter() - started
     assert len(notifications) == workload.expected_notifications()
-    return {
-        "events": len(events),
-        "notifications": notifications,
-        "seconds": elapsed,
-        "events_per_s": len(events) / elapsed,
-    }
-
-
-def best_of(reps, run, *args, **kwargs):
-    return min(
-        (run(*args, **kwargs) for __ in range(reps)),
-        key=lambda r: r["seconds"],
-    )
+    return {"events": len(events), "notifications": notifications}
 
 
 def signatures(result):
@@ -219,187 +219,25 @@ def per_instance(result):
 
 
 @needs_fork
-def test_qe14_codecs_are_differentially_equivalent(record_table):
+def test_qe14_binary_wire_is_differentially_equivalent(record_table):
     workload = make_workload()
-    serial = drive(workload, shards=2, backend="serial", wire_codec="binary")
-    binary = drive(workload, shards=2, backend="process", wire_codec="binary")
-    as_json = drive(workload, shards=2, backend="process", wire_codec="json")
+    serial = drive(workload, shards=2, backend="serial")
+    binary = drive(workload, shards=2, backend="process")
 
     assert all(n.signature is not None for n in serial["notifications"])
     # Identical multiset of delivery provenance signatures...
     assert signatures(binary) == signatures(serial)
-    assert signatures(as_json) == signatures(serial)
     # ...with identical per-instance notification order.
     assert per_instance(binary) == per_instance(serial)
-    assert per_instance(as_json) == per_instance(serial)
 
     record_table(
         render_table(
             ("run", "events", "notifications"),
             [
                 (name, r["events"], len(r["notifications"]))
-                for name, r in (
-                    ("serial", serial),
-                    ("process/binary", binary),
-                    ("process/json", as_json),
-                )
+                for name, r in (("serial", serial), ("process/binary", binary))
             ],
             title=f"QE14 codec differential ({FORCES} forces x "
             f"{WINDOWS_PER_FORCE} windows)",
-        )
-    )
-
-
-@needs_fork
-def test_qe14_sharded_throughput_over_binary_wire(record_table):
-    workload = make_workload()
-    as_json = best_of(
-        REPS, drive, workload, shards=4, backend="process", wire_codec="json"
-    )
-    binary = best_of(
-        REPS, drive, workload, shards=4, backend="process", wire_codec="binary"
-    )
-    speedup = binary["events_per_s"] / as_json["events_per_s"]
-
-    record_table(
-        render_table(
-            ("wire codec", "events/s", "seconds", "speedup"),
-            [
-                (
-                    "json",
-                    f"{as_json['events_per_s'] / 1e3:.1f}k",
-                    f"{as_json['seconds']:.3f}",
-                    "1.00x",
-                ),
-                (
-                    "binary",
-                    f"{binary['events_per_s'] / 1e3:.1f}k",
-                    f"{binary['seconds']:.3f}",
-                    f"{speedup:.2f}x",
-                ),
-            ],
-            title="QE14 4-shard throughput, binary vs JSON wire",
-        )
-    )
-
-    if SMOKE or CORES < 4:
-        pytest.skip(
-            f"speedup recorded ({speedup:.2f}x) but not asserted "
-            f"({CORES} cores, smoke={SMOKE}): the wire cost is not the "
-            "bottleneck without cores to scale onto"
-        )
-    assert speedup >= E2E_SPEEDUP_FLOOR, (
-        f"binary wire speedup {speedup:.2f}x is below the "
-        f"{E2E_SPEEDUP_FLOOR}x floor"
-    )
-
-
-@needs_fork
-def test_qe14_journaling_is_cheaper_over_binary_frames(benchmark, record_table):
-    workload = make_workload()
-
-    def durable(wire_codec):
-        with tempfile.TemporaryDirectory(prefix="qe14-") as durable_dir:
-            return drive(
-                workload,
-                shards=2,
-                backend="process",
-                wire_codec=wire_codec,
-                durable_dir=durable_dir,
-            )
-
-    as_json = best_of(REPS, durable, "json")
-    binary = benchmark(durable, "binary")
-
-    record_table(
-        render_table(
-            ("journal codec", "events/s", "seconds"),
-            [
-                (
-                    "json",
-                    f"{as_json['events_per_s'] / 1e3:.1f}k",
-                    f"{as_json['seconds']:.3f}",
-                ),
-                (
-                    "binary",
-                    f"{binary['events_per_s'] / 1e3:.1f}k",
-                    f"{binary['seconds']:.3f}",
-                ),
-            ],
-            title="QE14 durable journaling, binary vs JSON frames",
-        )
-    )
-
-    if SMOKE:
-        pytest.skip(
-            f"journal codec delta recorded (json {as_json['seconds']:.3f}s, "
-            f"binary {binary['seconds']:.3f}s) but not asserted in the "
-            "smoke configuration"
-        )
-    assert binary["seconds"] < as_json["seconds"], (
-        f"binary-journal run ({binary['seconds']:.3f}s) must come in "
-        f"strictly below the JSON-journal run ({as_json['seconds']:.3f}s)"
-    )
-
-
-@needs_fork
-def test_qe14_preexisting_json_journal_replays(record_table):
-    """A binary-default federation resumes over JSON-era journals.
-
-    The journals upgrade in place (codec flips, absolute frame numbering
-    survives) and the resumed run behaves *identically* to resuming over
-    binary-era journals — the codec of the pre-existing directory must
-    be unobservable.
-    """
-    workload = make_workload()
-    events = workload.events()
-    half = len(events) // 2
-
-    def two_phase(first_codec):
-        with tempfile.TemporaryDirectory(prefix="qe14-replay-") as durable_dir:
-            config = ShardConfig(
-                shards=2,
-                backend="process",
-                wire_codec=first_codec,
-                durable_dir=durable_dir,
-                instrument=True,
-            )
-            with ShardedFederation(workload.blueprint(), config) as federation:
-                federation.ingest(events[:half])
-                federation.drain()
-                collected = list(federation.delivered)
-                frames = [
-                    shard.journal.frame_count for shard in federation.shards
-                ]
-            config = ShardConfig(  # binary default
-                shards=2,
-                backend="process",
-                durable_dir=durable_dir,
-                instrument=True,
-            )
-            with ShardedFederation(workload.blueprint(), config) as federation:
-                for shard, count in zip(federation.shards, frames):
-                    # Upgraded journal, absolute numbering preserved.
-                    assert shard.journal.codec == "binary"
-                    assert shard.journal.frame_count == count
-                federation.ingest(events[half:])
-                federation.drain()
-                collected += list(federation.delivered)
-        return collected
-
-    upgraded = two_phase("json")
-    reference = two_phase("binary")
-    assert sorted(map(repr, (n.signature for n in upgraded))) == sorted(
-        map(repr, (n.signature for n in reference))
-    )
-
-    record_table(
-        render_table(
-            ("journal history", "notifications"),
-            [
-                ("json first half, binary resume", len(upgraded)),
-                ("binary throughout", len(reference)),
-            ],
-            title="QE14 pre-existing JSON journal replay",
         )
     )

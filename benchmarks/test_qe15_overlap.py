@@ -11,9 +11,11 @@ The workload makes that shape deterministic: ``force_weights`` makes
 every task force co-sharded with force 0 emit 4x the events, so one of
 the 4 shards is ~4x hotter than its neighbours, and the driver
 interleaves chunked ingest with a drain+stats collective per chunk.
-``overlap=False`` keeps the multiplexer but serialises the collectives
-(the pre-overlap behaviour); the speedup is that switch alone — same
-codec, same workers, same credit windows.
+The foil is bench-local: :func:`drain_one_at_a_time` and
+:func:`stats_one_at_a_time` drive each shard's split-phase
+``begin_*``/``end_*`` calls one shard at a time, a full round trip per
+shard (the pre-overlap behaviour); the speedup is that change alone —
+same codec, same workers, same credit windows.
 
 Two measurements:
 
@@ -41,6 +43,7 @@ import pytest
 
 from repro.metrics.report import render_table
 from repro.parallel import ShardConfig, ShardedFederation
+from repro.parallel.federation import _notification_from_record
 from repro.parallel.router import ShardRouter
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
@@ -90,6 +93,29 @@ def make_workload():
     )
 
 
+def drain_one_at_a_time(federation):
+    """The serial-gather foil of ``federation.drain()``: each shard's
+    flush round-trips alone, in shard order."""
+    federation.flush_buffers()
+    merged = []
+    for shard in federation.shards:
+        shard.begin_flush()
+        merged.extend(
+            _notification_from_record(shard.shard_id, record)
+            for record in shard.end_flush()
+        )
+    merged.sort(key=lambda n: n.merge_key)
+    federation.delivered.extend(merged)
+    return merged
+
+
+def stats_one_at_a_time(federation):
+    """The serial-gather foil of ``federation.stats()``."""
+    for shard in federation.shards:
+        shard.begin_stats()
+        shard.end_stats()
+
+
 def drive(workload, overlap, backend="process"):
     """Chunked ingest with a drain + stats collective per chunk."""
     events = workload.events()  # generated outside the timed section
@@ -100,15 +126,16 @@ def drive(workload, overlap, backend="process"):
         instrument=True,
         ship_logs=True,
         trace_sample_every=1,
-        overlap=overlap,
         join_timeout=10.0,
     )
+    drain = ShardedFederation.drain if overlap else drain_one_at_a_time
+    stats = ShardedFederation.stats if overlap else stats_one_at_a_time
     with ShardedFederation(workload.blueprint(), config) as federation:
         started = time.perf_counter()
         for start in range(0, len(events), chunk):
             federation.ingest(events[start : start + chunk])
-            federation.drain()
-            federation.stats()
+            drain(federation)
+            stats(federation)
         elapsed = time.perf_counter() - started
         notifications = list(federation.delivered)
     assert len(notifications) == workload.expected_notifications()

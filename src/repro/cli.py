@@ -521,7 +521,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     from .durability.log import (
         CONTROL_COMPACTED,
         FrameLog,
-        detect_codec,
         log_base,
         read_file_frames,
         scan,
@@ -561,17 +560,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
     reports = []
     for name, journal_path, snapshot_path in targets:
-        # The reader auto-detects the codec from the file's first bytes
-        # (binary journals open with a magic header); an explicit
-        # --format is an assertion about what the file should be.
-        codec = detect_codec(journal_path) or "json"
-        if args.format != "auto" and codec != args.format:
-            print(
-                f"error: {journal_path} is a {codec} journal, "
-                f"not {args.format}",
-                file=sys.stderr,
-            )
-            return 1
         file_frames, valid_bytes, torn = scan(journal_path)
         base = log_base(journal_path)
         payload_frames = file_frames - (1 if base else 0)
@@ -583,9 +571,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 continue
             kinds[str(kind)] = kinds.get(str(kind), 0) + 1
             if args.dump:
-                # frame_to_jsonable renders a binary journal's raw
-                # events as their wire dicts, so both codecs
-                # pretty-print identically.
                 frame_dump.append(frame_to_jsonable(frame))
         snapshot = None
         if snapshot_path is not None and os.path.exists(snapshot_path):
@@ -593,7 +578,6 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         report = {
             "name": name,
             "path": journal_path,
-            "codec": codec,
             "frames": payload_frames,
             "base": base,
             "next_index": base + payload_frames,
@@ -611,9 +595,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 snapshot.frame_index if snapshot is not None else None
             )
             if keep_from is not None and keep_from > base:
-                # Keep the file's own codec: offline compaction must
-                # never silently re-encode someone's journal.
-                with FrameLog(journal_path, codec=codec) as log:
+                with FrameLog(journal_path) as log:
                     survivors = log.compact(keep_from)
                 report["compacted_to"] = keep_from
                 report["frames"] = survivors
@@ -626,12 +608,10 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         return 0
     print(
         render_table(
-            ("journal", "codec", "frames", "base", "bytes", "torn",
-             "snapshot@"),
+            ("journal", "frames", "base", "bytes", "torn", "snapshot@"),
             [
                 (
                     report["name"],
-                    report["codec"],
                     report["frames"],
                     report["base"],
                     report["bytes"],
@@ -1128,18 +1108,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop journal frames the shard's snapshot already covers",
     )
     journal.add_argument(
-        "--format",
-        choices=("auto", "json", "binary"),
-        default="auto",
-        help="expected journal codec: 'auto' (default) detects it from "
-        "the file's magic bytes; an explicit codec fails when the file "
-        "does not match",
-    )
-    journal.add_argument(
         "--dump",
         action="store_true",
-        help="print every payload frame (binary journals render their "
-        "raw events as wire dicts, identical to the JSON codec's output)",
+        help="print every payload frame, rendered as JSON for reading "
+        "(a debug view, not a format the journal can be rebuilt from)",
     )
     journal.add_argument(
         "--json",

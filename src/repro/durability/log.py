@@ -1,25 +1,21 @@
 """The write-ahead frame log: length-prefixed frames on disk.
 
-One :class:`FrameLog` is one append-only file of wire frames in either
-channel codec.  A **binary** journal (the default, matching the shard
-channel's default) starts with the :data:`JOURNAL_MAGIC` header and
-carries :mod:`repro.parallel.codec` frames — the exact bytes-for-bytes
-encoding the worker pipe speaks, raw events included; a **JSON** journal
-is the 4-byte length prefix + UTF-8 JSON framing of
-:mod:`repro.parallel.wire`.  Readers auto-detect the codec from the
-first bytes (the magic's first byte can never begin a valid JSON frame:
-as a length prefix it would exceed ``MAX_FRAME_BYTES``), so journals
-written before the binary codec existed keep replaying — and opening a
-journal under the *other* codec atomically re-encodes it, converting
-event frames between their raw and wire forms, so one file never mixes
-codecs.
+One :class:`FrameLog` is one append-only file of wire frames: the
+:data:`JOURNAL_MAGIC` header followed by :mod:`repro.parallel.codec`
+binary frames — byte for byte the encoding the worker pipe speaks, raw
+events included.
 
-Binary journals are *self-contained*: the interning tables start empty
-at the first frame, every define-record is inline, and compaction
-rewrites the file under a fresh encoder — a decoder starting at byte
-four replays any cut.  Reopening a binary journal for append decodes
-the existing frames once and seeds the append encoder with the decoder's
-tables, so new frames keep referencing the established ids.
+Journals are *self-contained*: the interning tables start empty at the
+first frame, every define-record is inline, and compaction rewrites the
+file under a fresh encoder — a decoder starting at byte four replays any
+cut.  Reopening a journal for append decodes the existing frames once
+and seeds the append encoder with the decoder's tables, so new frames
+keep referencing the established ids.
+
+A file that does not start with the magic was written by the retired
+JSON codec.  It is refused with a :class:`~repro.errors.DurabilityError`
+naming the file, and left byte for byte unchanged: old durable
+directories are not migrated.
 
 Write policy is *coalescing with fsync batching*: appends accumulate in
 a buffer that is written with a **single** ``os.write`` per fsync batch
@@ -45,103 +41,64 @@ the next frame starts clean — the standard WAL repair rule.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from ..errors import DurabilityError, WireError
-from ..events.event import Event
 from ..observability import STRUCTURED_LOG as _SLOG
 from ..observability import Counter, default_registry
-from ..parallel.codec import (
-    WIRE_CODECS,
-    BinaryDecoder,
-    BinaryEncoder,
-)
-from ..parallel.wire import (
-    MAX_FRAME_BYTES,
-    event_from_wire,
-    event_to_wire,
-    frame_bytes,
-)
+from ..parallel.codec import BinaryDecoder, BinaryEncoder
+from ..parallel.wire import MAX_FRAME_BYTES
 
 #: Frame kind of the compaction control frame (never replayed).
 CONTROL_COMPACTED = "compacted"
 
-#: First bytes of a binary journal file.  The leading ``0xC3`` byte is
-#: deliberate: read as a JSON frame's length prefix it decodes to ~3.2
-#: GB — far beyond ``MAX_FRAME_BYTES`` — so a JSON reader fails fast
-#: instead of misparsing, and auto-detection is unambiguous.
+#: First bytes of a journal file.  Read as a length prefix the leading
+#: ``0xC3`` byte would announce a ~3.2 GB frame, so the magic can never
+#: be mistaken for the first frame of a headerless (JSON-era) journal.
 JOURNAL_MAGIC = b"\xc3RJ1"
 
 
-def detect_codec(path: str) -> Optional[str]:
-    """The codec of the journal at *path*; ``None`` if missing/empty."""
-    try:
-        with open(path, "rb") as stream:
-            head = stream.read(len(JOURNAL_MAGIC))
-    except FileNotFoundError:
-        return None
-    if not head:
-        return None
-    return "binary" if head == JOURNAL_MAGIC else "json"
+def _load(path: str) -> Tuple[List[Dict[str, Any]], int, bool, BinaryDecoder]:
+    """Read a whole journal: ``(frames, valid_bytes, torn, decoder)``.
 
-
-def _load(
-    path: str,
-) -> Tuple[str, List[Dict[str, Any]], int, bool, Optional[BinaryDecoder]]:
-    """Read a whole journal: ``(codec, frames, valid_bytes, torn, decoder)``.
-
-    Binary frames must decode in file order against one decoder (the
-    interning tables are stream state); the decoder comes back so an
-    append-side encoder can adopt its tables.
+    Frames must decode in file order against one decoder (the interning
+    tables are stream state); the decoder comes back so an append-side
+    encoder can adopt its tables.
     """
-    codec = detect_codec(path) or "json"
     frames: List[Dict[str, Any]] = []
     torn = False
-    decoder: Optional[BinaryDecoder] = None
+    decoder = BinaryDecoder()
     with open(path, "rb") as stream:
-        if codec == "binary":
-            decoder = BinaryDecoder()
-            valid = len(stream.read(len(JOURNAL_MAGIC)))
-            while True:
-                header = stream.read(4)
-                if not header:
-                    break
-                if len(header) < 4:
-                    torn = True
-                    break
-                length = int.from_bytes(header, "big")
-                if length > MAX_FRAME_BYTES:
-                    torn = True
-                    break
-                payload = stream.read(length)
-                if len(payload) < length:
-                    torn = True
-                    break
-                try:
-                    frames.append(decoder.decode_payload(payload))
-                except WireError:
-                    torn = True
-                    break
-                valid = stream.tell()
-        else:
-            from ..parallel.wire import read_frame
-
-            valid = 0
-            while True:
-                try:
-                    frame = read_frame(stream)
-                except WireError:
-                    torn = True
-                    break
-                if frame is None:
-                    break
-                frames.append(frame)
-                valid = stream.tell()
-    if not torn:
-        # A clean EOF and a lone partial header both end the loop;
-        # compare against the file size to tell them apart.
-        torn = os.path.getsize(path) > valid
-    return codec, frames, valid, torn, decoder
+        head = stream.read(len(JOURNAL_MAGIC))
+        if head and head != JOURNAL_MAGIC:
+            raise DurabilityError(
+                f"journal {path!r} lacks the binary journal magic: it was "
+                f"written by the retired JSON codec and is refused, not "
+                f"migrated (start from a fresh durable directory)"
+            )
+        valid = len(head)
+        while True:
+            header = stream.read(4)
+            if not header:
+                break
+            if len(header) < 4:
+                torn = True
+                break
+            length = int.from_bytes(header, "big")
+            if length > MAX_FRAME_BYTES:
+                torn = True
+                break
+            payload = stream.read(length)
+            if len(payload) < length:
+                torn = True
+                break
+            try:
+                frames.append(decoder.decode_payload(payload))
+            except WireError:
+                torn = True
+                break
+            valid = stream.tell()
+    return frames, valid, torn, decoder
 
 
 def scan(path: str) -> Tuple[int, int, bool]:
@@ -149,51 +106,27 @@ def scan(path: str) -> Tuple[int, int, bool]:
 
     ``file_frames`` counts every complete frame physically present
     (including a leading control frame); ``valid_bytes`` is the offset
-    just past the last complete frame (the codec magic included);
+    just past the last complete frame (the magic included);
     ``torn_tail`` is true when bytes beyond it exist but do not form a
-    whole frame (a crash mid-append).  The codec is auto-detected.
+    whole frame (a crash mid-append).
     """
-    __, frames, valid, torn, __decoder = _load(path)
+    frames, valid, torn, __ = _load(path)
     return len(frames), valid, torn
 
 
 def read_file_frames(path: str, skip: int = 0) -> List[Dict[str, Any]]:
-    """Complete frames from file frame *skip* on (torn tail ignored).
-
-    The codec is auto-detected; binary journals return their frames
+    """Complete frames from file frame *skip* on (torn tail ignored),
     with native values (raw events included)."""
-    __, frames, __valid, __torn, __decoder = _load(path)
+    frames = _load(path)[0]
     return frames[skip:]
 
 
 def log_base(path: str) -> int:
     """The absolute index of the first payload frame in the file."""
-    __, frames, __valid, __torn, __decoder = _load(path)
+    frames = _load(path)[0]
     if frames and frames[0].get("kind") == CONTROL_COMPACTED:
         return int(frames[0]["base"])
     return 0
-
-
-def convert_frame(frame: Dict[str, Any], codec: str) -> Dict[str, Any]:
-    """*frame* in the channel form of *codec*.
-
-    Only ``events`` frames differ between codecs: binary channels carry
-    the events themselves, JSON channels their ``event_to_wire`` dicts.
-    Every other frame kind is codec-neutral and passes through.
-    """
-    if frame.get("kind") != "events":
-        return frame
-    events = frame.get("events") or []
-    if codec == "binary":
-        if events and not isinstance(events[0], Event):
-            frame = dict(frame)
-            frame["events"] = [event_from_wire(data) for data in events]
-    elif events and isinstance(events[0], Event):
-        frame = dict(frame)
-        frame["events"] = [
-            event_to_wire(event, provenance=True) for event in events
-        ]
-    return frame
 
 
 def _journal_counters() -> Dict[str, Counter]:
@@ -209,19 +142,11 @@ def _journal_counters() -> Dict[str, Counter]:
 class FrameLog:
     """An append-only, write-coalescing, fsync-batched log of frames."""
 
-    def __init__(
-        self, path: str, fsync_every: int = 16, codec: str = "binary"
-    ) -> None:
+    def __init__(self, path: str, fsync_every: int = 16) -> None:
         if fsync_every < 0:
             raise DurabilityError("fsync_every must be >= 0 (0 = never)")
-        if codec not in WIRE_CODECS:
-            raise DurabilityError(
-                f"unknown journal codec {codec!r}; "
-                f"expected one of {WIRE_CODECS}"
-            )
         self.path = path
         self.fsync_every = fsync_every
-        self.codec = codec
         self._unsynced = 0
         self.appended = 0
         self.bytes_written = 0
@@ -238,79 +163,51 @@ class FrameLog:
         file_frames = 0
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         if not fresh:
-            detected, frames, valid, torn, decoder = _load(path)
+            frames, valid, torn, decoder = _load(path)
             if frames and frames[0].get("kind") == CONTROL_COMPACTED:
                 self.base = int(frames[0]["base"])
                 file_frames = len(frames) - 1
             else:
                 file_frames = len(frames)
-            if detected != codec:
-                # Re-encode the whole file under the requested codec so
-                # it never mixes framings; the torn tail (if any) dies
-                # with the rewrite.  Event frames convert between their
-                # raw and wire forms; the fresh encoder used for the
-                # rewrite becomes the append encoder (its tables match
-                # the file exactly).
-                self._recode(frames)
+            if torn:
+                # Torn tail from a previous crashed writer: truncate to
+                # the last complete frame so appends start clean.
+                with open(path, "r+b") as repair:
+                    repair.truncate(valid)
                 _SLOG.emit(
                     "durability",
-                    "journal_recoded",
+                    "journal_tail_truncated",
                     level="warning",
                     path=path,
                     frames=file_frames,
-                    from_codec=detected,
-                    to_codec=codec,
+                    valid_bytes=valid,
                 )
-            else:
-                if torn:
-                    # Torn tail from a previous crashed writer: truncate
-                    # to the last complete frame so appends start clean.
-                    with open(path, "r+b") as repair:
-                        repair.truncate(valid)
-                    _SLOG.emit(
-                        "durability",
-                        "journal_tail_truncated",
-                        level="warning",
-                        path=path,
-                        frames=file_frames,
-                        valid_bytes=valid,
-                    )
-                    if codec == "binary":
-                        # A tail torn mid-decode may have polluted the
-                        # decoder's intern tables with defines that just
-                        # got truncated away; re-read the repaired file
-                        # so the seed matches the surviving bytes.
-                        __d, __f, __v, __t, decoder = _load(path)
-                if codec == "binary" and decoder is not None:
-                    # Seed the append encoder with the tables the file's
-                    # frames established, so new refs stay consistent.
-                    self._encoder.seed(
-                        decoder.interned_strings,
-                        decoder.interned_compounds,
-                    )
+                # A tail torn mid-decode may have polluted the decoder's
+                # intern tables with defines that just got truncated
+                # away; re-read the repaired file so the seed matches
+                # the surviving bytes.
+                decoder = _load(path)[3]
+            # Seed the append encoder with the tables the file's frames
+            # established, so new refs stay consistent.
+            self._encoder.seed(
+                decoder.interned_strings, decoder.interned_compounds
+            )
         #: Absolute count of payload frames ever appended (next index).
         self.frame_count = self.base + file_frames
         self._stream = open(path, "ab")
-        if fresh and codec == "binary":
+        if fresh:
             self._stream.write(JOURNAL_MAGIC)
             self._stream.flush()
 
-    def _encode(self, frame: Mapping[str, Any]) -> bytes:
-        if self.codec == "binary":
-            return self._encoder.encode_frame(
-                convert_frame(dict(frame), "binary")
-            )
-        return frame_bytes(convert_frame(dict(frame), "json"))
-
-    def _recode(self, frames: List[Dict[str, Any]]) -> None:
-        """Atomically rewrite the file under ``self.codec``."""
-        replacement = f"{self.path}.recode"
+    def _rewrite(self, frames: List[Dict[str, Any]]) -> None:
+        """Atomically replace the file with *frames* under a fresh
+        encoder, which then takes over for appends."""
+        replacement = f"{self.path}.compact"
         self._encoder = BinaryEncoder()
         with open(replacement, "wb") as stream:
-            if self.codec == "binary":
-                stream.write(JOURNAL_MAGIC)
+            stream.write(JOURNAL_MAGIC)
             for frame in frames:
-                stream.write(self._encode(frame))
+                stream.write(self._encoder.encode_frame(frame))
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(replacement, self.path)
@@ -324,7 +221,7 @@ class FrameLog:
         the OS with the batch's single write (at the fsync point, or —
         with ``fsync_every=0`` — immediately).
         """
-        data = self._encode(frame)
+        data = self._encoder.encode_frame(frame)
         self._buffer += data
         self.bytes_written += len(data)
         index = self.frame_count
@@ -374,7 +271,7 @@ class FrameLog:
         """Drop frames below absolute index *keep_from* (atomic rewrite).
 
         Called after a snapshot: frames the snapshot already covers are
-        dead weight for recovery.  A binary journal is rewritten under a
+        dead weight for recovery.  The journal is rewritten under a
         **fresh** encoder — the interning tables reset at the compaction
         boundary, so the surviving cut is self-contained — and the fresh
         encoder takes over for subsequent appends.  Returns the
@@ -390,7 +287,7 @@ class FrameLog:
         self.sync()
         survivors = self.tail(keep_from)
         self._stream.close()
-        self._recode(
+        self._rewrite(
             [{"kind": CONTROL_COMPACTED, "base": keep_from}] + survivors
         )
         self._stream = open(self.path, "ab")

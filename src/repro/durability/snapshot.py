@@ -14,22 +14,30 @@ processed every journal frame below that position:
   per-shard numbering the deterministic merge sorts on), and the ingest
   counters.
 
-Snapshots are written atomically (temp file + ``rename`` after fsync) so
-a crash mid-snapshot leaves the previous snapshot intact, and carry the
-journal frame index they cover: recovery = boot from snapshot, then
-replay the journal tail from that index.
+The file is one :mod:`repro.parallel.codec` binary frame written under a
+fresh encoder, so it is self-contained and operator state — held events
+with provenance, int-keyed partitions, frozensets — round-trips as
+native values.  Snapshots are written atomically (temp file + ``rename``
+after fsync) so a crash mid-snapshot leaves the previous snapshot
+intact, and carry the journal frame index they cover: recovery = boot
+from snapshot, then replay the journal tail from that index.
+
+Version-1 snapshots were JSON documents written by the retired JSON
+codec.  They are refused with a :class:`~repro.errors.DurabilityError`,
+never skipped: a compacted journal replayed without its snapshot would
+silently resume from the wrong state.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..errors import DurabilityError
+from ..errors import DurabilityError, WireError
+from ..parallel.codec import BinaryDecoder, BinaryEncoder
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -44,12 +52,6 @@ class ShardSnapshot:
     blueprint: Dict[str, Any]
     #: ``ShardHost.snapshot_state()`` payload (operators, seq, counters).
     state: Dict[str, Any]
-    #: Wire codec of the journal this snapshot compacted — offline tools
-    #: read it instead of sniffing the journal's magic.  Snapshots
-    #: written before the binary codec existed carry no field and
-    #: default to ``"json"``; the version stays 1 (the field is
-    #: additive and optional).
-    codec: str = "json"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -58,7 +60,6 @@ class ShardSnapshot:
             "frame_index": self.frame_index,
             "blueprint": self.blueprint,
             "state": self.state,
-            "codec": self.codec,
         }
 
     @staticmethod
@@ -74,16 +75,20 @@ class ShardSnapshot:
             frame_index=int(data["frame_index"]),
             blueprint=dict(data["blueprint"]),
             state=dict(data["state"]),
-            codec=str(data.get("codec", "json")),
         )
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write atomically: a crash mid-write keeps the old snapshot."""
+        """Write atomically: a crash mid-write keeps the old snapshot.
+
+        Raises :class:`~repro.errors.WireError` (and writes nothing)
+        when the state holds a value the codec cannot express.
+        """
+        data = BinaryEncoder().encode_frame(self.to_dict())
         replacement = f"{path}.tmp"
-        with open(replacement, "w") as handle:
-            json.dump(self.to_dict(), handle, separators=(",", ":"))
+        with open(replacement, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(replacement, path)
@@ -91,13 +96,28 @@ class ShardSnapshot:
     @staticmethod
     def load(path: str) -> Optional["ShardSnapshot"]:
         """The snapshot at *path*, or ``None`` when there is none yet."""
-        if not os.path.exists(path):
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
             return None
-        with open(path) as handle:
-            try:
-                data = json.load(handle)
-            except ValueError as error:
-                raise DurabilityError(
-                    f"snapshot {path!r} is corrupt: {error}"
-                ) from None
-        return ShardSnapshot.from_dict(data)
+        if data[:1] == b"{":
+            # As a length prefix, "{" would announce a ~2 GB frame; it
+            # can only be the start of a version-1 JSON document.
+            raise DurabilityError(
+                f"snapshot {path!r} is a version-1 JSON snapshot written "
+                f"by the retired JSON codec; it is refused, not migrated "
+                f"(start from a fresh durable directory)"
+            )
+        if int.from_bytes(data[:4], "big") != len(data) - 4:
+            raise DurabilityError(
+                f"snapshot {path!r} is corrupt: its length prefix does not "
+                f"match the file size"
+            )
+        try:
+            frame = BinaryDecoder().decode_payload(memoryview(data)[4:])
+        except WireError as error:
+            raise DurabilityError(
+                f"snapshot {path!r} is corrupt: {error}"
+            ) from None
+        return ShardSnapshot.from_dict(frame)

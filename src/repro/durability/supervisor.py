@@ -53,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Respawn = Callable[[int, Dict[str, Any]], "ProcessShard"]
 
 JOURNAL_FILENAME = "journal.log"
+#: The name predates the binary snapshot format and is kept on purpose:
+#: a version-1 JSON snapshot left in an old durable directory is found
+#: and refused instead of silently skipped.
 SNAPSHOT_FILENAME = "snapshot.json"
 
 
@@ -105,16 +108,16 @@ class SupervisedShard:
         self._genesis = blueprint.to_wire()
         self._respawn = respawn
         directory = shard_directory(config.durable_dir, self.shard_id)
-        # The journal shares the channel's codec: a journaled frame is
-        # exactly the frame that crossed (or will cross) the worker
-        # pipe, so recovery replays it verbatim.  Opening a journal left
-        # by a deployment on the *other* codec re-encodes it in place.
+        self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
+        # Refuse a JSON-era snapshot before the journal is opened (and
+        # possibly repaired): a refused directory stays byte-identical.
+        ShardSnapshot.load(self.snapshot_path)
+        # A journaled frame is exactly the frame that crossed (or will
+        # cross) the worker pipe, so recovery replays it verbatim.
         self.journal = FrameLog(
             os.path.join(directory, JOURNAL_FILENAME),
             fsync_every=config.fsync_every,
-            codec=config.wire_codec,
         )
-        self.snapshot_path = os.path.join(directory, SNAPSHOT_FILENAME)
         #: Frames below this index predate this federation (a reused
         #: durable directory); the genesis blueprint already covers them.
         self._genesis_index = self.journal.frame_count
@@ -135,11 +138,6 @@ class SupervisedShard:
     @property
     def alive(self) -> bool:
         return self.inner.alive
-
-    @property
-    def wire_codec(self) -> str:
-        """The negotiated channel (and journal) codec."""
-        return self.inner.wire_codec
 
     @property
     def channel(self) -> "MuxChannel":
@@ -353,7 +351,6 @@ class SupervisedShard:
             frame_index=frame_index,
             blueprint=self._blueprint.to_wire(),
             state=state,
-            codec=self.wire_codec,
         )
         # Invariant for offline tools: a snapshot on disk never covers
         # frames the journal has not durably written.

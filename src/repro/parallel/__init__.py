@@ -18,19 +18,11 @@ Entry points:
 * :class:`~repro.parallel.host.FederationBlueprint` /
   :class:`~repro.parallel.host.ShardSpec` — the data-only bootstrap;
 * :class:`~repro.parallel.router.ShardRouter` — affinity routing;
-* :mod:`~repro.parallel.codec` — the binary wire codec the shard
-  channels and write-ahead journals speak by default
-  (``ShardConfig(wire_codec="json")`` restores the debuggable JSON
-  framing).
+* :mod:`~repro.parallel.codec` — the binary codec, the one encoding of
+  the shard channels, the write-ahead journals, and shard snapshots.
 """
 
-from .codec import (
-    WIRE_CODECS,
-    BinaryDecoder,
-    BinaryEncoder,
-    make_reader,
-    make_writer,
-)
+from .codec import BinaryDecoder, BinaryEncoder
 from .federation import (
     BACKENDS,
     ShardConfig,
@@ -39,13 +31,7 @@ from .federation import (
 )
 from .host import FederationBlueprint, RecordingDeliveryQueue, ShardHost, ShardSpec
 from .router import ShardRouter
-from .wire import (
-    event_from_wire,
-    event_to_wire,
-    read_frame,
-    register_event_type,
-    write_frame,
-)
+from .wire import register_event_type
 
 __all__ = [
     "BACKENDS",
@@ -59,12 +45,5 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "ShardedFederation",
-    "WIRE_CODECS",
-    "event_from_wire",
-    "event_to_wire",
-    "make_reader",
-    "make_writer",
-    "read_frame",
     "register_event_type",
-    "write_frame",
 ]

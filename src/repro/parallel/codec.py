@@ -1,13 +1,15 @@
-"""The binary wire codec: one serialization fast path for shards and
-the journal.
+"""The binary wire codec: the one encoding of frames, journals and
+snapshots.
 
-Frames on a binary channel keep the JSON path's *framing* — a 4-byte
-big-endian length prefix per frame — but the payload is a compact
-type-tagged binary encoding instead of a UTF-8 JSON document, and the
-values inside are the *native* objects the pipeline speaks: ``Event``
-instances, nested tuples, frozensets, and provenance node trees cross
-the channel without the ``event_to_wire`` / ``encode_value`` tag-dict
-detour (``$fs`` / ``$t`` / ``$d``) the JSON path pays per value.
+Every frame on a shard channel is a 4-byte big-endian length prefix
+followed by a compact type-tagged binary payload, and the values inside
+are the *native* objects the pipeline speaks: ``Event`` instances,
+nested tuples, frozensets, non-string-keyed mappings, and provenance
+node trees cross the channel as themselves.  The write-ahead journal
+(:mod:`repro.durability.log`) stores exactly these frames, and a shard
+snapshot (:mod:`repro.durability.snapshot`) is one such frame, so live
+operator state — held events with their provenance included — needs no
+second encoding.
 
 **Value encoding.**  Every value is one tag byte followed by its body:
 
@@ -25,8 +27,9 @@ tag       body
 ``LIST``  varint count + members
 ``TUPLE`` varint count + members
 ``FSET``  varint count + members, sorted by ``repr`` for
-          deterministic bytes (mirrors the JSON path)
-``DICT``  varint count + alternating key/value members
+          deterministic bytes
+``DICT``  varint count + alternating key/value members (keys may be
+          any encodable value)
 ``EVENT`` event type name, key-schema tuple, the parameter
           values in key order (``type`` skipped), provenance flag
           byte + optional provenance tree
@@ -56,10 +59,14 @@ rewritten under a fresh encoder, so every replay cut is
 self-contained — a decoder starting at the file's first frame sees
 every ``DEF`` it needs.
 
-**Error discipline.**  A truncated, torn, or corrupt payload raises
-:class:`~repro.errors.WireError` — never ``IndexError`` or a crash —
-and leaves the decoder's tables undefined: callers must
-:meth:`~BinaryDecoder.reset` (or discard) the decoder after an error.
+**Error discipline.**  An unencodable value raises
+:class:`~repro.errors.WireError` and leaves the encoder's tables exactly
+as they were before the frame, so the channel (or journal) stays in
+step with its decoder and the next frame is readable.  A truncated,
+torn, or corrupt payload raises :class:`~repro.errors.WireError` —
+never ``IndexError`` or a crash — and leaves the decoder's tables
+undefined: callers must :meth:`~BinaryDecoder.reset` (or discard) the
+decoder after an error.
 """
 
 from __future__ import annotations
@@ -71,16 +78,7 @@ from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 from ..errors import WireError
 from ..events.event import Event
 from ..observability.provenance import ProvenanceNode
-from .wire import (
-    MAX_FRAME_BYTES,
-    _read_exact,
-    read_frame,
-    resolve_event_type,
-    write_frame,
-)
-
-#: The codecs a shard channel (and the journal) can speak.
-WIRE_CODECS = ("binary", "json")
+from .wire import MAX_FRAME_BYTES, _read_exact, resolve_event_type
 
 #: Strings longer than this many UTF-8 bytes are not interned (one-off
 #: payload text should not occupy table slots).
@@ -115,44 +113,21 @@ _HEADER = struct.Struct(">I")
 _new_event = object.__new__
 
 # ---------------------------------------------------------------------------
-# Channel negotiation (the hello frame)
+# Channel hello
 # ---------------------------------------------------------------------------
 
-#: First bytes on a worker pipe: magic, protocol version, codec byte.
-HELLO_MAGIC = b"RPW1"
-_HELLO_BYTE = {"json": 0, "binary": 1}
-_HELLO_CODEC = {byte: codec for codec, byte in _HELLO_BYTE.items()}
+#: First bytes on a worker pipe: magic + protocol version.  The worker
+#: refuses a channel that does not open with them.
+HELLO_MAGIC = b"RPW2"
 
 
-def hello_bytes(codec: str) -> bytes:
-    """The channel-opening bytes: magic + codec byte, before any frame.
-
-    Exposed separately from :func:`write_hello` for writers that manage
-    raw file descriptors (the facade's multiplexer) rather than
-    buffered streams.
-    """
-    return HELLO_MAGIC + bytes((_HELLO_BYTE[codec],))
-
-
-def write_hello(stream: IO[bytes], codec: str) -> None:
-    """Open a channel: magic + codec byte, before any frame."""
-    stream.write(hello_bytes(codec))
-    stream.flush()
-
-
-def read_hello(stream: IO[bytes]) -> str:
-    """Read the peer's hello; returns the negotiated codec name."""
-    data = _read_exact(stream, len(HELLO_MAGIC) + 1, allow_eof=False)
-    assert data is not None
-    if data[: len(HELLO_MAGIC)] != HELLO_MAGIC:
+def read_hello(stream: IO[bytes]) -> None:
+    """Read the peer's hello; :class:`WireError` unless it matches."""
+    data = _read_exact(stream, len(HELLO_MAGIC), allow_eof=False)
+    if data != HELLO_MAGIC:
         raise WireError(
-            f"bad channel hello {data[:len(HELLO_MAGIC)]!r} "
-            f"(expected {HELLO_MAGIC!r})"
+            f"bad channel hello {data!r} (expected {HELLO_MAGIC!r})"
         )
-    codec = _HELLO_CODEC.get(data[-1])
-    if codec is None:
-        raise WireError(f"unknown wire codec byte {data[-1]!r} in hello")
-    return codec
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +209,37 @@ class BinaryEncoder:
     # -- encoding ----------------------------------------------------------
 
     def encode_frame(self, frame: Mapping[str, Any]) -> bytes:
-        """One length-prefixed binary frame, ready for a single write."""
+        """One length-prefixed binary frame, ready for a single write.
+
+        Atomic with respect to the interning tables: if the frame cannot
+        be encoded, every string and compound it defined is forgotten
+        again, so the next frame's refs still match the decoder's.
+        """
+        refs = self._refs
+        crefs = self._crefs
+        nrefs, count, ncrefs, ccount = (
+            len(refs), self._count, len(crefs), self._ccount
+        )
         buf = self._buf
         del buf[:]
         buf += b"\x00\x00\x00\x00"
-        self._value(buf, frame if type(frame) is dict else dict(frame))
-        size = len(buf) - 4
-        if size > MAX_FRAME_BYTES:
-            raise WireError(
-                f"frame length {size} exceeds {MAX_FRAME_BYTES}"
-            )
+        try:
+            self._value(buf, frame if type(frame) is dict else dict(frame))
+            size = len(buf) - 4
+            if size > MAX_FRAME_BYTES:
+                raise WireError(
+                    f"frame length {size} exceeds {MAX_FRAME_BYTES}"
+                )
+        except BaseException:
+            # Defines only ever append (dicts keep insertion order), so
+            # the frame's own defines are the entries past the marks.
+            for key in list(refs)[nrefs:]:
+                del refs[key]
+            for key in list(crefs)[ncrefs:]:
+                del crefs[key]
+            self._count = count
+            self._ccount = ccount
+            raise
         _pack_into(">I", buf, 0, size)
         return bytes(buf)
 
@@ -721,8 +717,6 @@ class BinaryDecoder:
 class BinaryFrameWriter:
     """Writes binary frames to a stream; one encoder, one write per frame."""
 
-    codec = "binary"
-
     def __init__(self, stream: IO[bytes]) -> None:
         self._stream = stream
         self.encoder = BinaryEncoder()
@@ -733,20 +727,17 @@ class BinaryFrameWriter:
         self._stream.write(self.encoder.encode_frame(frame))
         self._stream.flush()
 
-    def reset(self) -> None:
-        self.encoder.reset()
-
 
 class BinaryFrameReader:
     """Reads binary frames from a stream; mirrors one writer's tables."""
-
-    codec = "binary"
 
     def __init__(self, stream: IO[bytes]) -> None:
         self._stream = stream
         self.decoder = BinaryDecoder()
 
     def read(self) -> Optional[Dict[str, Any]]:
+        """The next frame; ``None`` on clean EOF, :class:`WireError`
+        on a torn, oversized, or corrupt one."""
         header = _read_exact(self._stream, _HEADER.size, allow_eof=True)
         if header is None:
             return None
@@ -759,83 +750,6 @@ class BinaryFrameReader:
         assert data is not None
         return self.decoder.decode_payload(data)
 
-    def reset(self) -> None:
-        self.decoder.reset()
-
-
-class JsonFrameWriter:
-    """The JSON debug/compat path behind the same writer surface."""
-
-    codec = "json"
-
-    def __init__(self, stream: IO[bytes]) -> None:
-        self._stream = stream
-
-    def write(self, frame: Mapping[str, Any]) -> None:
-        write_frame(self._stream, frame)
-
-    def reset(self) -> None:  # noqa: D102 - no state to reset
-        pass
-
-
-class JsonFrameReader:
-    """The JSON debug/compat path behind the same reader surface."""
-
-    codec = "json"
-
-    def __init__(self, stream: IO[bytes]) -> None:
-        self._stream = stream
-
-    def read(self) -> Optional[Dict[str, Any]]:
-        return read_frame(self._stream)
-
-    def reset(self) -> None:  # noqa: D102 - no state to reset
-        pass
-
-
-FrameWriter = Any  # BinaryFrameWriter | JsonFrameWriter
-FrameReader = Any  # BinaryFrameReader | JsonFrameReader
-
-
-def make_writer(stream: IO[bytes], codec: str) -> Any:
-    """The frame writer for *codec* over *stream*."""
-    if codec == "binary":
-        return BinaryFrameWriter(stream)
-    if codec == "json":
-        return JsonFrameWriter(stream)
-    raise WireError(
-        f"unknown wire codec {codec!r}; expected one of {WIRE_CODECS}"
-    )
-
-
-def make_reader(stream: IO[bytes], codec: str) -> Any:
-    """The frame reader for *codec* over *stream*."""
-    if codec == "binary":
-        return BinaryFrameReader(stream)
-    if codec == "json":
-        return JsonFrameReader(stream)
-    raise WireError(
-        f"unknown wire codec {codec!r}; expected one of {WIRE_CODECS}"
-    )
-
-
-def events_frame(events: List[Event], codec: str) -> Dict[str, Any]:
-    """The ``events`` frame for *codec*.
-
-    A binary channel carries the events themselves (the codec encodes
-    them natively); a JSON channel carries their ``event_to_wire``
-    dicts.  The same shapes land in the write-ahead journal, which
-    shares the channel's codec.
-    """
-    if codec == "binary":
-        return {"kind": "events", "events": list(events)}
-    from .wire import event_to_wire
-
-    return {
-        "kind": "events",
-        "events": [event_to_wire(event) for event in events],
-    }
-
 
 # ---------------------------------------------------------------------------
 # Debug rendering
@@ -843,27 +757,40 @@ def events_frame(events: List[Event], codec: str) -> Dict[str, Any]:
 
 
 def frame_to_jsonable(value: Any) -> Any:
-    """A decoded binary frame as the JSON path would have carried it.
+    """A decoded frame as plain JSON data, for ``repro journal --dump``.
 
-    ``repro journal inspect`` uses this so a binary journal
-    pretty-prints identically to a JSON one: raw events become their
-    ``event_to_wire`` form, tuples/frozensets their ``$t``/``$fs``
-    tags.
+    A debug rendering, not a decode format: events become ``{"type",
+    "params"[, "provenance"]}`` objects, provenance nodes nested
+    objects, tuples lists, and frozensets lists sorted by ``repr``.
     """
-    from .wire import encode_value, event_to_wire
-
     if isinstance(value, Event):
-        return event_to_wire(value, provenance=True)
+        rendered = {
+            "type": value.type_name,
+            "params": {
+                key: frame_to_jsonable(member)
+                for key, member in value.params.items()
+                if key != "type"
+            },
+        }
+        if value.provenance is not None:
+            rendered["provenance"] = frame_to_jsonable(value.provenance)
+        return rendered
+    if isinstance(value, ProvenanceNode):
+        return {
+            "id": value.event_id,
+            "node": value.node,
+            "kind": value.kind,
+            "type": value.event_type,
+            "t": value.logical_time,
+            "summary": frame_to_jsonable(value.summary),
+            "in": [frame_to_jsonable(child) for child in value.inputs],
+        }
     if isinstance(value, dict):
         return {
             key: frame_to_jsonable(member) for key, member in value.items()
         }
-    if isinstance(value, list):
+    if isinstance(value, frozenset):
+        value = sorted(value, key=repr)
+    if isinstance(value, (list, tuple)):
         return [frame_to_jsonable(member) for member in value]
-    if isinstance(value, (tuple, frozenset)):
-        return encode_value(value)
-    if isinstance(value, ProvenanceNode):
-        from .wire import provenance_to_wire
-
-        return provenance_to_wire(value)
     return value

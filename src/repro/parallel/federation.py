@@ -15,9 +15,9 @@ Two backends, selected by :class:`ShardConfig`:
   merge, and the facade logic are identical to the process backend, so
   correctness is cheap to check.
 * ``process`` — each shard is a forked OS worker running
-  :func:`~repro.parallel.worker.worker_main`; events cross a
-  length-prefixed wire in routed batches, and recognition runs on as
-  many cores as there are shards.
+  :func:`~repro.parallel.worker.worker_main`; events cross the binary
+  wire of :mod:`~repro.parallel.codec` in routed batches, and
+  recognition runs on as many cores as there are shards.
 
 **Deterministic merge.**  Each shard reports its notifications with a
 per-shard sequence number (enqueue order).  The facade sorts the union
@@ -72,20 +72,11 @@ from ..observability.trace import (
     TraceAssembler,
     TraceContext,
 )
-from .codec import (
-    WIRE_CODECS,
-    events_frame,
-    hello_bytes,
-)
+from .codec import HELLO_MAGIC
 from .host import FederationBlueprint, ShardHost, ShardSpec
 from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
 from .router import ShardRouter
-from .wire import (
-    SEQ_KEY,
-    as_tuples,
-    attach_trace,
-    decode_value,
-)
+from .wire import SEQ_KEY, attach_trace
 
 BACKENDS = ("serial", "process")
 
@@ -162,23 +153,12 @@ class ShardConfig:
     #: touches (1 = trace every wave).  Only meaningful with
     #: ``instrument`` on.
     trace_sample_every: int = DEFAULT_SAMPLE_EVERY
-    #: Serialization of the worker pipes and the write-ahead journal:
-    #: ``binary`` (the interned fast path of
-    #: :mod:`repro.parallel.codec`) or ``json`` (the debug/compat
-    #: path — ``strace`` a worker and read the traffic).  Serial shards
-    #: never serialize; the knob only affects the process backend.
-    wire_codec: str = "binary"
     #: Event frames allowed in flight (sent, not yet acked) per shard
     #: before ingest defers that shard's batches in the facade buffer.
     #: The window bounds facade- and pipe-side memory per shard while a
     #: worker stalls; acks ride the worker's response frames plus
     #: standalone ack frames every ``max_inflight // 2`` event frames.
     max_inflight: int = 32
-    #: Overlap the collective operations (broadcast the request to all
-    #: shards, then gather responses as they arrive).  ``False`` falls
-    #: back to one shard at a time — full round trips in shard order —
-    #: which is the comparison baseline QE15 measures against.
-    overlap: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -204,11 +184,6 @@ class ShardConfig:
             raise ParallelError("max_recoveries must be >= 0")
         if self.trace_sample_every < 1:
             raise ParallelError("trace_sample_every must be >= 1")
-        if self.wire_codec not in WIRE_CODECS:
-            raise ParallelError(
-                f"unknown wire codec {self.wire_codec!r}; "
-                f"expected one of {WIRE_CODECS}"
-            )
         if self.max_inflight < 1:
             raise ParallelError("max_inflight must be >= 1")
 
@@ -234,28 +209,9 @@ class ShardNotification:
 
 
 def _notification_from_record(
-    shard: int, record: Dict[str, Any], raw: bool = False
+    shard: int, record: Dict[str, Any]
 ) -> ShardNotification:
-    """Build one merged notification from a shard's drain record.
-
-    ``raw`` marks records off a binary channel: the signature is
-    already nested tuples and the parameters are native values, so the
-    JSON path's ``decode_value`` / ``as_tuples`` normalization is
-    skipped entirely.
-    """
-    signature = record.get("signature")
-    if raw:
-        return ShardNotification(
-            shard=shard,
-            seq=record["seq"],
-            time=record["time"],
-            participant_id=record["participant"],
-            schema_name=record["schema"],
-            description=record["description"],
-            process_instance_id=record.get("instance"),
-            signature=signature,
-            parameters=record.get("parameters") or {},
-        )
+    """Build one merged notification from a shard's drain record."""
     return ShardNotification(
         shard=shard,
         seq=record["seq"],
@@ -264,10 +220,8 @@ def _notification_from_record(
         schema_name=record["schema"],
         description=record["description"],
         process_instance_id=record.get("instance"),
-        signature=as_tuples(decode_value(signature))
-        if signature is not None
-        else None,
-        parameters=decode_value(record.get("parameters") or {}),
+        signature=record.get("signature"),
+        parameters=record.get("parameters") or {},
     )
 
 
@@ -275,9 +229,6 @@ class SerialShard:
     """An in-process shard: direct calls, no encoding, no IPC."""
 
     backend = "serial"
-    #: Serial records use the JSON-path record shape (``encode_value``'d
-    #: parameters), so the facade decodes them like a JSON channel's.
-    wire_codec = "json"
 
     def __init__(self, shard_id: int, config: ShardConfig) -> None:
         self.shard_id = shard_id
@@ -391,9 +342,6 @@ class ProcessShard:
         self.mux = mux
         self.channel = channel
         self.alive = True
-        #: The negotiated channel codec (the hello bytes already told
-        #: the worker).
-        self.wire_codec = config.wire_codec
         #: Sequence number of the next event frame; survives a respawn
         #: (the supervisor copies it onto the replacement shard) so
         #: journal-replayed frames keep their original numbers.
@@ -465,7 +413,7 @@ class ProcessShard:
     ) -> Dict[str, Any]:
         """Build the sequenced events frame (consumes one sequence
         number); the supervisor journals exactly this frame."""
-        frame = attach_trace(events_frame(events, self.wire_codec), ctx)
+        frame = attach_trace({"kind": "events", "events": list(events)}, ctx)
         frame[SEQ_KEY] = self._next_seq
         self._next_seq += 1
         return frame
@@ -620,15 +568,11 @@ def _spawn_worker(
     process.start()
     os.close(in_read)
     os.close(out_write)
-    # Codec negotiation: the hello bytes are the first thing on the
-    # event pipe, before any frame — the worker configures both channel
-    # directions (and its host's raw/wire record shape) from them.
-    # Written before the channel flips the fd non-blocking: five bytes
-    # always fit a fresh pipe.
-    os.write(in_write, hello_bytes(config.wire_codec))
-    channel = MuxChannel(
-        shard_id, in_write, out_read, config.wire_codec, config.max_inflight
-    )
+    # The hello bytes are the first thing on the event pipe, before any
+    # frame.  Written before the channel flips the fd non-blocking: four
+    # bytes always fit a fresh pipe.
+    os.write(in_write, HELLO_MAGIC)
+    channel = MuxChannel(shard_id, in_write, out_read, config.max_inflight)
     mux.register(channel)
     return ProcessShard(shard_id, config, process, mux, channel)
 
@@ -721,15 +665,22 @@ class ShardedFederation:
             if self.config.durable_dir is not None:
                 from ..durability.supervisor import SupervisedShard
 
-                self.shards: List[Any] = [
-                    SupervisedShard(
-                        worker,
-                        self.config,
-                        blueprint,
-                        self._respawn_worker,
-                    )
-                    for worker in workers
-                ]
+                try:
+                    self.shards: List[Any] = [
+                        SupervisedShard(
+                            worker,
+                            self.config,
+                            blueprint,
+                            self._respawn_worker,
+                        )
+                        for worker in workers
+                    ]
+                except BaseException:
+                    # A refused durable directory: reap the workers.
+                    for worker in workers:
+                        worker.discard()
+                    self._mux.close()
+                    raise
             else:
                 self.shards = list(workers)
         else:
@@ -954,10 +905,8 @@ class ShardedFederation:
         attributed.  With ``tolerant``, dead shards are skipped and
         crashes drop the shard from the result instead of raising.
 
-        With ``ShardConfig.overlap`` off (or on the serial backend) the
-        same code degenerates to one blocking round trip per shard in
-        shard order — the pre-overlap behavior, kept as the QE15
-        comparison baseline.
+        On the serial backend the same code degenerates to one
+        synchronous call per shard in shard order.
         """
         shards = [s for s in self.shards if not tolerant or s.alive]
         begun: List[Any] = []
@@ -973,7 +922,7 @@ class ShardedFederation:
                 if not tolerant:
                     failures.append(error)
         frames: Dict[int, Dict[str, Any]] = {}
-        if self._mux is not None and self.config.overlap:
+        if self._mux is not None:
             wants = {
                 shard.shard_id: _COLLECTIVE_RESPONSE[op]
                 for shard in begun
@@ -1030,9 +979,8 @@ class ShardedFederation:
         self.flush_buffers()
         merged: List[ShardNotification] = []
         for shard, records in self._collect("flush"):
-            raw = shard.wire_codec == "binary"
             merged.extend(
-                _notification_from_record(shard.shard_id, record, raw)
+                _notification_from_record(shard.shard_id, record)
                 for record in records
             )
         merged.sort(key=lambda n: n.merge_key)

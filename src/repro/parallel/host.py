@@ -38,7 +38,6 @@ from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _LOG
 from ..observability.registry import default_registry
 from ..observability.trace import TraceContext, is_recorded
-from .wire import encode_value
 
 #: Upper bound on buffered sampled span batches awaiting shipment; the
 #: hot path never blocks on observability — beyond this, batches are
@@ -170,8 +169,8 @@ class ShardHost:
         self._frames: int = 0
         #: Highest event-frame sequence number received (the worker's
         #: cumulative credit ack).  ``None`` until a sequenced frame
-        #: arrives — unsequenced frames (serial shards, legacy JSON
-        #: journals) never participate in the credit window.
+        #: arrives — unsequenced frames (serial shards) never participate
+        #: in the credit window.
         self.last_seq: Optional[int] = None
         self._reported: int = 0
         #: Bus publishes counted by a previous incarnation (snapshot
@@ -185,12 +184,6 @@ class ShardHost:
         #: facade (process-backend workers only; the worker entry point
         #: sets it from the shard options).
         self.ship_logs: bool = False
-        #: Record shape of :meth:`drain_results`: ``True`` on a binary
-        #: channel (native tuples/values — the codec ships them
-        #: directly), ``False`` on the JSON path (``encode_value``'d
-        #: JSON-safe records).  The worker entry point sets it from the
-        #: negotiated codec.
-        self.wire_raw: bool = False
 
     # -- sources -----------------------------------------------------------
 
@@ -321,11 +314,12 @@ class ShardHost:
         global enqueue order) the deterministic merge needs, and — when
         instrumentation is on — the id-free provenance ``signature()`` of
         the delivery, computed *here* so the report is not capped by the
-        tracker's ring buffer.
+        tracker's ring buffer.  Values are native (tuples, frozensets):
+        a serial shard hands the records to the facade as they are, a
+        worker ships them through the codec.
         """
         records = self.queue.records
         seq_offset = self.queue.seq_offset
-        raw = self.wire_raw
         out: List[Dict[str, Any]] = []
         for seq in range(self._reported, len(records)):
             notification = records[seq]
@@ -340,8 +334,6 @@ class ShardHost:
                     notification.time,
                     chain.signature(),
                 )
-                if not raw:
-                    signature = encode_value(signature)
             out.append(
                 {
                     "seq": seq_offset + seq,
@@ -352,9 +344,7 @@ class ShardHost:
                     "description": notification.description,
                     "instance": parameters.get("processInstanceId"),
                     "signature": signature,
-                    "parameters": parameters
-                    if raw
-                    else encode_value(parameters),
+                    "parameters": parameters,
                 }
             )
         self._reported = len(records)
@@ -423,22 +413,19 @@ class ShardHost:
                     operators.append(operator)
         return operators
 
-    def snapshot_state(self) -> Optional[Dict[str, Any]]:
-        """The host's recoverable state, or ``None`` if unencodable.
+    def snapshot_state(self) -> Dict[str, Any]:
+        """The host's recoverable state, as native values.
 
-        ``None`` (some live operator holds state the snapshot codec
-        cannot express) is a supported answer: the supervisor keeps the
-        full journal and recovery replays from the beginning, which is
-        always correct — just slower.
+        The state references live operator partitions, so encode it
+        before the host ingests again.  A live operator may hold state
+        the codec cannot express: the worker then answers "no
+        snapshot", the supervisor keeps the full journal, and recovery
+        replays from the beginning — always correct, just slower.
         """
         from ..durability.state import capture_operators
 
-        try:
-            operators = capture_operators(self.live_operators())
-        except SnapshotUnsupportedError:
-            return None
         return {
-            "operators": operators,
+            "operators": capture_operators(self.live_operators()),
             "recognized": [
                 detector.recognized
                 for detector in self._detectors.values()

@@ -1,46 +1,37 @@
-"""Wire protocol of the sharded execution layer.
+"""Wire protocol of the sharded execution layer: names and limits.
 
 Workers and the :class:`~repro.parallel.federation.ShardedFederation`
-facade exchange *frames*: a 4-byte big-endian length prefix followed by a
-UTF-8 JSON document.  Framing keeps the channel self-synchronizing over a
-plain OS pipe; JSON keeps it debuggable (``strace`` a worker and read the
-traffic).
+facade exchange *frames*: a 4-byte big-endian length prefix followed by
+one payload in the binary codec of :mod:`repro.parallel.codec` — the
+only encoding the shard channels, the write-ahead journal, and shard
+snapshots speak.  This module holds what that codec and the frame
+protocol share:
 
-Events cross the wire in the canonical self-contained encoding the rest
-of the repository already speaks: the event *type name* plus the flat
-parameter mapping (:mod:`repro.events.canonical` — the type name alone
-recovers the :class:`~repro.events.event.EventType`, including on-demand
-``C[P]`` canonical types), mirroring how
-:mod:`repro.core.serialization` ships process definitions as data.  Two
-parameter value shapes JSON cannot express natively are tagged:
-
-* ``frozenset`` (the ``processAssociations`` set of a ``T_context``
-  event) becomes ``{"$fs": [...]}``, members sorted for deterministic
-  bytes;
-* ``tuple`` (association pairs, digest tuples) becomes ``{"$t": [...]}``;
-* a mapping that itself contains a ``$``-prefixed key is wrapped as
-  ``{"$d": {...}}`` so the tags can never be forged by payload data.
-
-Recognition provenance travels as a parallel node tree so a worker's
-instrumented pipeline can report full chains without pickling.
+* the **event-type registry** — events travel as their *type name* plus
+  parameter values, and the type name alone recovers the
+  :class:`~repro.events.event.EventType` (canonical ``C[P]`` types are
+  minted on demand from :mod:`repro.events.canonical`; primitive planes,
+  ``T_delivery``, and application types come from the registry);
+* the **frame keys** of the credit and tracing protocol (``seq``,
+  ``acked``, ``trace``) and their helpers;
+* :data:`MAX_FRAME_BYTES` and the exact-read helper every frame reader
+  uses, so a torn or oversized frame raises
+  :class:`~repro.errors.WireError` the same way everywhere.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from typing import Any, Dict, IO, Iterator, List, Mapping, Optional
+from typing import Any, Dict, IO, List, Mapping, Optional
 
 from ..errors import WireError
 from ..events.canonical import CANONICAL_PREFIX, canonical_type, is_canonical
-from ..events.event import Event, EventType
+from ..events.event import EventType
 from ..events.external import NEWS_EVENT_TYPE
 from ..events.producers import (
     ACTIVITY_EVENT_TYPE,
     CONTEXT_EVENT_TYPE,
     SYSTEM_EVENT_TYPE,
 )
-from ..observability.provenance import ProvenanceNode
 
 #: Non-canonical event types resolvable by name.  Applications with
 #: custom external event types extend this via :func:`register_event_type`
@@ -79,114 +70,6 @@ def resolve_event_type(type_name: str) -> EventType:
     if event_type is None:
         raise WireError(f"cannot resolve wire event type {type_name!r}")
     return event_type
-
-
-# ---------------------------------------------------------------------------
-# Parameter value encoding
-# ---------------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of one event parameter value."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, frozenset):
-        members = sorted((encode_value(member) for member in value), key=repr)
-        return {"$fs": members}
-    if isinstance(value, tuple):
-        return {"$t": [encode_value(member) for member in value]}
-    if isinstance(value, list):
-        return [encode_value(member) for member in value]
-    if isinstance(value, Mapping):
-        encoded = {key: encode_value(member) for key, member in value.items()}
-        if any(key.startswith("$") for key in encoded):
-            return {"$d": encoded}
-        return encoded
-    raise WireError(
-        f"event parameter value {value!r} ({type(value).__name__}) is not "
-        f"wire-encodable"
-    )
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(value, list):
-        return [decode_value(member) for member in value]
-    if isinstance(value, dict):
-        if "$fs" in value:
-            return frozenset(decode_value(member) for member in value["$fs"])
-        if "$t" in value:
-            return tuple(decode_value(member) for member in value["$t"])
-        if "$d" in value:
-            return {
-                key: decode_value(member)
-                for key, member in value["$d"].items()
-            }
-        return {key: decode_value(member) for key, member in value.items()}
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Events
-# ---------------------------------------------------------------------------
-
-
-def event_to_wire(event: Event, provenance: bool = False) -> Dict[str, Any]:
-    """Encode one event (type name + parameters [+ provenance chain])."""
-    out: Dict[str, Any] = {
-        "type": event.type_name,
-        "params": {
-            key: encode_value(value)
-            for key, value in event._params.items()
-            if key != "type"
-        },
-    }
-    if provenance and event.provenance is not None:
-        out["provenance"] = provenance_to_wire(event.provenance)
-    return out
-
-
-def event_from_wire(data: Mapping[str, Any]) -> Event:
-    """Decode one event; restores frozensets/tuples and the provenance."""
-    event_type = resolve_event_type(data["type"])
-    params = {
-        key: decode_value(value) for key, value in data["params"].items()
-    }
-    event = Event.trusted(event_type, params)
-    chain = data.get("provenance")
-    if chain is not None:
-        event.provenance = provenance_from_wire(chain)
-    return event
-
-
-# ---------------------------------------------------------------------------
-# Provenance chains
-# ---------------------------------------------------------------------------
-
-
-def provenance_to_wire(node: ProvenanceNode) -> Dict[str, Any]:
-    """Encode a provenance node tree (summaries keep their raw shape)."""
-    return {
-        "id": node.event_id,
-        "node": node.node,
-        "kind": node.kind,
-        "type": node.event_type,
-        "t": node.logical_time,
-        "summary": encode_value(node.summary),
-        "in": [provenance_to_wire(child) for child in node.inputs],
-    }
-
-
-def provenance_from_wire(data: Mapping[str, Any]) -> ProvenanceNode:
-    return ProvenanceNode(
-        event_id=data["id"],
-        node=data["node"],
-        kind=data["kind"],
-        event_type=data["type"],
-        logical_time=data["t"],
-        summary=decode_value(data["summary"]),
-        inputs=tuple(provenance_from_wire(child) for child in data["in"]),
-    )
 
 
 #: Key under which an ``events`` frame carries its trace context —
@@ -256,70 +139,13 @@ def strip_trace_sampling(frame: Dict[str, Any]) -> Dict[str, Any]:
     return stripped
 
 
-def as_tuples(value: Any) -> Any:
-    """Normalize a JSON round-tripped signature back to nested tuples.
-
-    ``ProvenanceNode.signature()`` values are nested tuples; JSON turns
-    tuples into lists, so worker-reported signatures are re-normalized
-    before comparison with locally computed ones.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(as_tuples(member) for member in value)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct(">I")
-
 #: Refuse frames above this size — a corrupted length prefix must not
 #: turn into a multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-
-def frame_bytes(message: Mapping[str, Any]) -> bytes:
-    """One length-prefixed JSON frame as bytes (a single write's worth)."""
-    data = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(data)) + data
-
-
-def write_frame(stream: IO[bytes], message: Mapping[str, Any]) -> None:
-    """Write one length-prefixed JSON frame and flush it."""
-    stream.write(frame_bytes(message))
-    stream.flush()
-
-
-def read_frame(stream: IO[bytes]) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF, :class:`WireError` mid-frame."""
-    header = _read_exact(stream, _HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    data = _read_exact(stream, length, allow_eof=False)
-    assert data is not None
-    try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as error:
-        raise WireError(f"malformed frame payload: {error}") from None
-
-
-def iter_frames(stream: IO[bytes]) -> "Iterator[Dict[str, Any]]":
-    """Yield frames until clean EOF; :class:`WireError` on a torn tail.
-
-    The shared read loop of the worker channel and the write-ahead
-    journal: both speak the same framing, so torn-tail detection (a
-    partial header or payload at the end of a crashed writer's file)
-    lives here once.
-    """
-    while True:
-        frame = read_frame(stream)
-        if frame is None:
-            return
-        yield frame
 
 
 def _read_exact(

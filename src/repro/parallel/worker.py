@@ -8,7 +8,10 @@ sends are pipelined fire-and-forget (pipe backpressure is the flow
 control) and every read the parent performs has exactly one pending
 response.
 
-Protocol frames (see :mod:`repro.parallel.wire` for the framing):
+The channel opens with the facade's hello bytes (see
+:func:`~repro.parallel.codec.read_hello`); every frame after it, in both
+directions, is a :mod:`repro.parallel.codec` binary frame.  Protocol
+frames:
 
 * ``{"kind": "events", "events": [...], "seq": N,
   "trace": [tid, psid, 0|1]}`` — ingest a routed batch; ``seq`` is the
@@ -37,9 +40,9 @@ cursor — so the facade's federation views refresh on every read without
 extra round trips, and span/log shipping rides frames that already
 exist;
 * ``{"kind": "snapshot"}`` → ``{"kind": "snapshot", "state": {...}}`` —
-  the host's recoverable state (``state`` is ``null`` when a live
-  operator holds state the snapshot codec cannot express; the
-  supervisor then keeps the full journal instead);
+  the host's recoverable state (``state`` is ``None`` when a live
+  operator holds state the codec cannot express; the supervisor then
+  keeps the full journal instead);
 * ``{"kind": "restore", "state": {...}}`` — load a snapshot payload
   into the freshly booted host (sent once, right after fork, before the
   journal tail is replayed);
@@ -57,19 +60,12 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List
 
-from ..errors import ReproError
+from ..errors import ReproError, WireError
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
-from .codec import make_reader, make_writer, read_hello
+from .codec import BinaryFrameReader, BinaryFrameWriter, read_hello
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .wire import (
-    ACKED_KEY,
-    SEQ_KEY,
-    ack_frame,
-    event_from_wire,
-    extract_trace,
-    write_frame,
-)
+from .wire import ACKED_KEY, SEQ_KEY, ack_frame, extract_trace
 
 
 def worker_main(
@@ -130,21 +126,17 @@ def worker_main(
     out = os.fdopen(out_fd, "wb")
     exit_code = 0
     errors: List[str] = []
-    writer: Any = None
+    writer = BinaryFrameWriter(out)
     try:
-        # Codec negotiation: the parent's hello bytes precede every
-        # frame on the event pipe and configure both channel directions.
-        codec = read_hello(inp)
-        raw = codec == "binary"
-        reader = make_reader(inp, codec)
-        writer = make_writer(out, codec)
+        # The parent's hello bytes precede every frame on the event pipe.
+        read_hello(inp)
+        reader = BinaryFrameReader(inp)
         host = ShardHost(
             shard_id,
             shard_count,
             share_plans=bool(options.get("share_plans", True)),
         )
         host.ship_logs = ship_logs
-        host.wire_raw = raw
         host.apply_blueprint(FederationBlueprint.from_wire(blueprint_wire))
         # Credit bookkeeping: event frames since the last ack crossed
         # the pipe (in either piggybacked or standalone form).  The
@@ -171,15 +163,8 @@ def worker_main(
                     if seq is not None:
                         unacked += 1
                     try:
-                        # A binary channel delivers the events
-                        # themselves; the JSON path their wire dicts.
                         host.ingest(
-                            list(frame["events"])
-                            if raw
-                            else [
-                                event_from_wire(data)
-                                for data in frame["events"]
-                            ],
+                            list(frame["events"]),
                             extract_trace(frame),
                             seq=seq,
                         )
@@ -217,12 +202,18 @@ def worker_main(
                         )
                     )
                 elif kind == "snapshot":
-                    writer.write(
-                        {
-                            "kind": "snapshot",
-                            "state": host.snapshot_state(),
-                        }
-                    )
+                    try:
+                        writer.write(
+                            {
+                                "kind": "snapshot",
+                                "state": host.snapshot_state(),
+                            }
+                        )
+                    except WireError:
+                        # Operator state the codec cannot express: no
+                        # snapshot.  The failed encode left the channel
+                        # tables untouched, so the answer still decodes.
+                        writer.write({"kind": "snapshot", "state": None})
                 elif kind == "restore":
                     host.restore_state(frame["state"])
                     # The restore moved the log's emission counter to the
@@ -243,13 +234,7 @@ def worker_main(
         exit_code = 1
         frame = {"kind": "error", "error": f"{type(error).__name__}: {error}"}
         try:
-            if writer is not None:
-                writer.write(frame)
-            else:
-                # The hello never arrived: the parent's reader codec is
-                # unknown, so fall back to the JSON framing (the parent
-                # still sees a fail-fast error, worst case as EOF).
-                write_frame(out, frame)
+            writer.write(frame)
         except OSError:
             pass
     finally:

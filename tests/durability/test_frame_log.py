@@ -11,7 +11,7 @@ from repro.durability.log import (
     read_file_frames,
     scan,
 )
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, WireError
 
 
 def frames_for(count, start=0):
@@ -37,6 +37,21 @@ class TestAppendAndScan:
         with FrameLog(path) as log:
             assert log.frame_count == 1
             assert log.append({"kind": "events", "n": 1}) == 1
+
+    def test_failed_append_leaves_the_log_readable(self, tmp_path):
+        path = str(tmp_path / "journal.log")
+        with FrameLog(path, fsync_every=0) as log:
+            log.append({"kind": "events", "n": 0})
+            with pytest.raises(WireError):
+                log.append({"kind": "events", "tag": "reused", "x": object()})
+            # The next frame reuses the string the failed one defined.
+            assert log.append({"kind": "events", "tag": "reused"}) == 1
+        assert read_file_frames(path) == [
+            {"kind": "events", "n": 0},
+            {"kind": "events", "tag": "reused"},
+        ]
+        file_frames, valid, torn = scan(path)
+        assert (file_frames, valid, torn) == (2, os.path.getsize(path), False)
 
     def test_tail_reads_from_an_absolute_index(self, tmp_path):
         path = str(tmp_path / "journal.log")

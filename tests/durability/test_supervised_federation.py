@@ -13,9 +13,11 @@ import signal
 
 import pytest
 
-from repro.durability.log import read_file_frames, scan
+from repro.cli import main
+from repro.durability.log import JOURNAL_MAGIC, FrameLog, read_file_frames, scan
+from repro.durability.snapshot import ShardSnapshot
 from repro.durability.supervisor import JOURNAL_FILENAME, SNAPSHOT_FILENAME
-from repro.errors import ParallelError, ShardCrashError
+from repro.errors import DurabilityError, ParallelError, ShardCrashError
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
@@ -249,9 +251,9 @@ class TestDurableLifecycle:
             assert snapshot.is_file()
             __, ___, torn = scan(str(journal))
             assert not torn
-            loaded = json.loads(snapshot.read_text())
-            assert loaded["shard_id"] == shard_id
-            assert loaded["frame_index"] > 0
+            loaded = ShardSnapshot.load(str(snapshot))
+            assert loaded.shard_id == shard_id
+            assert loaded.frame_index > 0
 
     def test_torn_journal_tail_is_repaired_on_boot(self, tmp_path):
         workload = small_workload()
@@ -262,8 +264,9 @@ class TestDurableLifecycle:
         # A previous facade died mid-append: a complete frame would have
         # been longer than what hit the disk.
         with open(journal_path, "wb") as handle:
+            handle.write(JOURNAL_MAGIC)
             handle.write((1 << 16).to_bytes(4, "big"))
-            handle.write(b'{"kind": "ev')
+            handle.write(b"\x0b\x02\x06")
         with ShardedFederation(
             workload.blueprint(), durable_config(tmp_path)
         ) as federation:
@@ -309,7 +312,6 @@ class TestBinaryChannelRecovery:
             workload.blueprint(), durable_config(tmp_path)
         ) as federation:
             shard = federation.shards[0]
-            assert shard.wire_codec == "binary"
             federation.ingest(events[:cut])  # no drain: waves in flight
             old_channel = shard.inner.channel
             # The dead channel's encoder holds interned names.
@@ -328,40 +330,6 @@ class TestBinaryChannelRecovery:
             merged = list(federation.delivered)
         assert len(merged) == workload.expected_notifications()
         assert signatures(merged) == signatures(reference_run(workload))
-
-    def test_journal_replays_a_preexisting_json_journal(self, tmp_path):
-        # A durable directory written by a JSON-codec deployment keeps
-        # replaying after the binary codec becomes the default: opening
-        # the journal re-encodes it (events frames convert to their raw
-        # form), and the frame numbering is preserved.
-        workload = small_workload(seed=53)
-        events = workload.events()
-        cut = len(events) // 2
-        json_config = durable_config(tmp_path, wire_codec="json")
-        with ShardedFederation(
-            workload.blueprint(), json_config
-        ) as federation:
-            federation.ingest(events[:cut])
-            federation.drain()
-            first = list(federation.delivered)
-            frames_before = [
-                shard.journal.frame_count for shard in federation.shards
-            ]
-        binary_config = durable_config(tmp_path)  # binary default
-        with ShardedFederation(
-            workload.blueprint(), binary_config
-        ) as federation:
-            for shard, count in zip(federation.shards, frames_before):
-                # The upgraded journal kept the absolute numbering.
-                assert shard.journal.codec == "binary"
-                assert shard.journal.frame_count == count
-            federation.ingest(events[cut:])
-            federation.drain()
-            second = list(federation.delivered)
-        # Both halves delivered; no crash, no frame loss.
-        combined = signatures(first) + signatures(second)
-        assert len(combined) == workload.expected_notifications()
-
 
 class TestInflightRecovery:
     def test_sigkill_with_a_full_credit_window_recovers_exactly(
@@ -412,3 +380,59 @@ class TestInflightRecovery:
                 notification.process_instance_id, []
             ).append(notification.signature)
         assert by_instance == reference
+
+
+class TestLegacyRefusal:
+    """Durable directories written by the retired JSON codec are refused
+    — not migrated, not skipped — and left byte for byte unchanged."""
+
+    def refuse(self, tmp_path, capsys, legacy_path):
+        root = tmp_path / "durable"
+        files = sorted(path for path in root.rglob("*") if path.is_file())
+        before = {path: path.read_bytes() for path in files}
+        workload = small_workload()
+        with pytest.raises(DurabilityError, match="retired JSON codec") as refusal:
+            ShardedFederation(workload.blueprint(), durable_config(tmp_path))
+        assert str(legacy_path) in str(refusal.value)
+        assert main(["journal", str(root)]) == 1
+        assert str(legacy_path) in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in files} == before
+
+    def test_json_journal_is_refused(self, tmp_path, capsys):
+        journal_dir = tmp_path / "durable" / "shard-0"
+        journal_dir.mkdir(parents=True)
+        journal_path = journal_dir / JOURNAL_FILENAME
+        # A JSON-era journal: length-prefixed JSON frames, no magic, and
+        # a torn tail that a repair would have truncated.
+        frame = json.dumps({"kind": "deploy", "spec": {"spec_id": "s"}}).encode()
+        journal_path.write_bytes(
+            len(frame).to_bytes(4, "big") + frame + b"\x00\x00\x01"
+        )
+        self.refuse(tmp_path, capsys, journal_path)
+
+    def test_json_snapshot_is_refused(self, tmp_path, capsys):
+        shard_dir = tmp_path / "durable" / "shard-0"
+        shard_dir.mkdir(parents=True)
+        # A binary journal (compacted at frame 2, torn tail) next to the
+        # JSON snapshot that covers the compacted frames.
+        journal_path = shard_dir / JOURNAL_FILENAME
+        with FrameLog(str(journal_path)) as log:
+            for index in range(3):
+                log.append({"kind": "events", "events": [], "seq": index})
+            log.compact(2)
+        with open(journal_path, "ab") as handle:
+            handle.write(b"\x00\x00")
+        snapshot_path = shard_dir / SNAPSHOT_FILENAME
+        snapshot_path.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "shard_id": 0,
+                    "frame_index": 2,
+                    "blueprint": {"participants": []},
+                    "state": {"operators": [], "seq": 0},
+                    "codec": "binary",
+                }
+            )
+        )
+        self.refuse(tmp_path, capsys, snapshot_path)

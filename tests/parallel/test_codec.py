@@ -1,4 +1,4 @@
-"""Binary codec round-trips: values, events, interning, negotiation."""
+"""Binary codec round-trips: values, events, interning, the hello."""
 
 import io
 
@@ -13,14 +13,15 @@ from repro.parallel.codec import (
     INTERN_MAX,
     BinaryDecoder,
     BinaryEncoder,
-    events_frame,
+    BinaryFrameReader,
+    BinaryFrameWriter,
     frame_to_jsonable,
-    make_reader,
-    make_writer,
     read_hello,
-    write_hello,
 )
-from repro.parallel.wire import event_to_wire
+
+
+def events_frame(events):
+    return {"kind": "events", "events": list(events)}
 
 
 def roundtrip(frame, encoder=None, decoder=None):
@@ -78,16 +79,18 @@ class TestValueRoundTrips:
             "tuple": (1, 2, ("nested", 3)),
             "fset": frozenset({("P-TF", "tf-001"), ("P-TF", "tf-002")}),
             "dict": {"inner": {"$fs": "not a tag here"}},
+            "int_keys": {0: "slot-0", 7: {"nested": None}},
         }
         back = roundtrip(frame)
         assert back == frame
         assert type(back["tuple"]) is tuple
         assert type(back["tuple"][2]) is tuple
         assert type(back["fset"]) is frozenset
+        assert list(back["int_keys"]) == [0, 7]
 
     def test_dollar_keys_survive_without_tag_collision(self):
-        # The JSON path must wrap these in "$d"; the binary path carries
-        # them natively.
+        # Payload keys that look like tags are just keys: the codec has
+        # no tag-dicts they could be confused with.
         frame = {"$fs": [1], "$t": "x", "$d": {"$fs": 2}}
         assert roundtrip(frame) == frame
 
@@ -105,7 +108,7 @@ class TestValueRoundTrips:
 
 class TestEventRoundTrips:
     def test_event_params_and_type(self):
-        frame = events_frame([activity_event()], "binary")
+        frame = events_frame([activity_event()])
         back = roundtrip(frame)
         event = back["events"][0]
         assert event.event_type is ACTIVITY_EVENT_TYPE
@@ -126,7 +129,7 @@ class TestEventRoundTrips:
                 "processAssociations": associations,
             },
         )
-        back = roundtrip(events_frame([event], "binary"))
+        back = roundtrip(events_frame([event]))
         assert back["events"][0].params["processAssociations"] == associations
 
     def test_provenance_chain(self):
@@ -148,7 +151,7 @@ class TestEventRoundTrips:
             inputs=(leaf,),
         )
         event = activity_event(provenance=root)
-        back = roundtrip(events_frame([event], "binary"))
+        back = roundtrip(events_frame([event]))
         chain = back["events"][0].provenance
         assert chain.signature() == root.signature()
         assert chain.event_id == 2
@@ -157,10 +160,10 @@ class TestEventRoundTrips:
     def test_steady_state_events_shrink(self):
         encoder = BinaryEncoder()
         first = encoder.encode_frame(
-            events_frame([activity_event("tf-001", 1)], "binary")
+            events_frame([activity_event("tf-001", 1)])
         )
         second = encoder.encode_frame(
-            events_frame([activity_event("tf-001", 2)], "binary")
+            events_frame([activity_event("tf-001", 2)])
         )
         # Every string and the key schema are interned after frame one.
         assert len(second) < len(first) / 3
@@ -172,7 +175,7 @@ class TestInterning:
         decoder = BinaryDecoder()
         for time in range(5):
             back = roundtrip(
-                events_frame([activity_event(time=time)], "binary"),
+                events_frame([activity_event(time=time)]),
                 encoder,
                 decoder,
             )
@@ -211,7 +214,7 @@ class TestInterning:
         # Stream one: the original writer.
         original = BinaryEncoder()
         first = original.encode_frame(
-            events_frame([activity_event()], "binary")
+            events_frame([activity_event()])
         )
         # Reopen: a decoder consumes the existing stream, a successor
         # encoder adopts its tables and appends.
@@ -220,7 +223,7 @@ class TestInterning:
         successor = BinaryEncoder()
         successor.seed(reopen.interned_strings, reopen.interned_compounds)
         second = successor.encode_frame(
-            events_frame([activity_event(time=99)], "binary")
+            events_frame([activity_event(time=99)])
         )
         # A fresh decoder replaying the whole stream agrees — the
         # successor's refs resolve against frame one's defines.
@@ -231,7 +234,7 @@ class TestInterning:
         assert back["events"][0].params["time"] == 99
         # Seeding matched the original writer byte-for-byte.
         assert second == original.encode_frame(
-            events_frame([activity_event(time=99)], "binary")
+            events_frame([activity_event(time=99)])
         )
 
     def test_nested_compound_ids_agree(self):
@@ -249,6 +252,20 @@ class TestInterning:
         )
         assert back == {"s": outer, "a": inner_a, "b": inner_b}
 
+    def test_failed_encode_leaves_the_tables_unchanged(self):
+        encoder = BinaryEncoder()
+        decoder = BinaryDecoder()
+        roundtrip({"k": "before"}, encoder, decoder)
+        # The bad value comes after fresh strings and compounds the
+        # frame had already defined when the encode gave up.
+        with pytest.raises(WireError):
+            encoder.encode_frame(
+                {"fresh": ("pair", "x"), "also": "new", "bad": object()}
+            )
+        frame = {"fresh": ("pair", "x"), "also": "new", "k": "before"}
+        assert roundtrip(frame, encoder, decoder) == frame
+        assert decoder.interned_strings == list(encoder._refs)
+
     def test_unhashable_tuple_encodes_inline(self):
         value = ("key", {"nested": "dict"})
         assert roundtrip({"v": value}) == {"v": value}
@@ -260,10 +277,7 @@ class TestDecodeErrors:
 
     def test_truncation_raises_wire_error_at_every_cut(self):
         payload = self.encoded(
-            events_frame(
-                [activity_event()],
-                "binary",
-            )
+            events_frame([activity_event()])
         )
         for cut in range(len(payload)):
             with pytest.raises(WireError):
@@ -293,59 +307,30 @@ class TestDecodeErrors:
 class TestChannelWrappers:
     def test_writer_reader_round_trip(self):
         stream = io.BytesIO()
-        writer = make_writer(stream, "binary")
+        writer = BinaryFrameWriter(stream)
         frames = [
-            events_frame([activity_event(time=t)], "binary")
-            for t in range(3)
+            events_frame([activity_event(time=t)]) for t in range(3)
         ] + [{"kind": "stats"}]
         for frame in frames:
             writer.write(frame)
         stream.seek(0)
-        reader = make_reader(stream, "binary")
+        reader = BinaryFrameReader(stream)
         for frame in frames:
             back = reader.read()
             assert back["kind"] == frame["kind"]
         assert reader.read() is None
 
-    def test_json_wrappers_speak_the_legacy_framing(self):
-        stream = io.BytesIO()
-        make_writer(stream, "json").write({"kind": "stats"})
-        stream.seek(0)
-        from repro.parallel.wire import read_frame
-
-        assert read_frame(stream) == {"kind": "stats"}
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(WireError):
-            make_writer(io.BytesIO(), "msgpack")
-        with pytest.raises(WireError):
-            make_reader(io.BytesIO(), "msgpack")
-
     def test_hello_negotiation(self):
-        for codec in ("binary", "json"):
-            stream = io.BytesIO()
-            write_hello(stream, codec)
-            stream.seek(0)
-            assert read_hello(stream) == codec
+        read_hello(io.BytesIO(HELLO_MAGIC))
 
     def test_bad_hello_raises(self):
-        stream = io.BytesIO(b"XXXX\x01")
         with pytest.raises(WireError):
-            read_hello(stream)
-        stream = io.BytesIO(HELLO_MAGIC + b"\x09")
+            read_hello(io.BytesIO(b"XXXX"))
         with pytest.raises(WireError):
-            read_hello(stream)
+            read_hello(io.BytesIO(HELLO_MAGIC[:2]))
 
 
 class TestDebugRendering:
-    def test_frame_to_jsonable_matches_the_json_path(self):
-        event = activity_event()
-        binary_form = frame_to_jsonable(events_frame([event], "binary"))
-        json_form = events_frame([event], "json")
-        # The JSON path omits provenance on channel frames; for an event
-        # without provenance the rendering is identical.
-        assert binary_form == json_form
-
     def test_frame_to_jsonable_is_json_serializable(self):
         import json
 
@@ -364,10 +349,10 @@ class TestDebugRendering:
             "events": [event],
             "extra": (1, frozenset({"a"})),
         }
-        text = json.dumps(frame_to_jsonable(frame))
-        assert "T_activity" in text
-
-    def test_events_frame_json_uses_wire_dicts(self):
-        event = activity_event()
-        frame = events_frame([event], "json")
-        assert frame["events"][0] == event_to_wire(event)
+        rendered = json.loads(json.dumps(frame_to_jsonable(frame)))
+        assert rendered["extra"] == [1, ["a"]]
+        (shown,) = rendered["events"]
+        assert shown["type"] == "T_activity"
+        assert shown["params"]["time"] == 41
+        assert "type" not in shown["params"]
+        assert shown["provenance"]["summary"] == ["activity", "a", "x", "y"]

@@ -123,33 +123,6 @@ class TestProcessBackend:
             assert process.exitcode == 0
 
 
-class TestWireCodecs:
-    def test_json_codec_matches_the_binary_default(self):
-        # The differential guard of the codec switch: both codecs carry
-        # the same workload to the same notification stream (and the
-        # same provenance signature multiset).
-        workload = small_workload()
-        runs = {}
-        for codec in ("binary", "json"):
-            with ShardedFederation(
-                workload.blueprint(), process_config(wire_codec=codec)
-            ) as federation:
-                assert all(
-                    shard.wire_codec == codec
-                    for shard in federation.shards
-                )
-                federation.ingest(workload.events())
-                runs[codec] = federation.drain()
-        assert len(runs["binary"]) == workload.expected_notifications()
-        assert sorted(
-            map(repr, (n.signature for n in runs["binary"]))
-        ) == sorted(map(repr, (n.signature for n in runs["json"])))
-
-    def test_unknown_codec_is_rejected_at_config_time(self):
-        with pytest.raises(ParallelError, match="wire codec"):
-            ShardConfig(shards=1, wire_codec="msgpack")
-
-
 class TestOverlappedIO:
     """Credit-based backpressure and the overlapped collective paths."""
 
@@ -207,31 +180,6 @@ class TestOverlappedIO:
             assert not victim.alive
         finally:
             federation.close()
-
-    def test_serial_gather_mode_matches_the_overlapped_run(self):
-        # ``overlap=False`` keeps the legacy one-shard-at-a-time round
-        # trips (QE15's baseline); both modes must produce the same
-        # notification multiset and the same per-instance order.
-        workload = small_workload()
-
-        def per_instance(notifications):
-            streams = {}
-            for n in notifications:
-                streams.setdefault(n.process_instance_id, []).append(
-                    n.signature
-                )
-            return streams
-
-        runs = {}
-        for overlap in (True, False):
-            with ShardedFederation(
-                workload.blueprint(), process_config(overlap=overlap)
-            ) as federation:
-                assert federation.config.overlap is overlap
-                federation.ingest(workload.events())
-                runs[overlap] = federation.drain()
-        assert len(runs[True]) == workload.expected_notifications()
-        assert per_instance(runs[True]) == per_instance(runs[False])
 
     def test_max_inflight_is_validated(self):
         with pytest.raises(ParallelError, match="max_inflight"):

@@ -1,6 +1,8 @@
-"""Wire-format round-trips: every primitive plane, composites, framing."""
+"""Wire-format round-trips over the binary codec: every primitive plane,
+composites, the event-type registry, framing."""
 
 import io
+import struct
 
 import pytest
 
@@ -15,22 +17,22 @@ from repro.events.producers import (
     SYSTEM_EVENT_TYPE,
 )
 from repro.observability.provenance import ProvenanceNode
+from repro.parallel.codec import (
+    BinaryDecoder,
+    BinaryEncoder,
+    BinaryFrameReader,
+    BinaryFrameWriter,
+)
 from repro.parallel.wire import (
     MAX_FRAME_BYTES,
-    as_tuples,
-    decode_value,
-    encode_value,
-    event_from_wire,
-    event_to_wire,
-    read_frame,
     register_event_type,
     resolve_event_type,
-    write_frame,
 )
 
 
-def roundtrip(event, provenance=False):
-    return event_from_wire(event_to_wire(event, provenance=provenance))
+def roundtrip(event):
+    data = BinaryEncoder().encode_frame({"kind": "events", "events": [event]})
+    return BinaryDecoder().decode_payload(data[4:])["events"][0]
 
 
 class TestEventRoundTrips:
@@ -155,7 +157,7 @@ class TestEventRoundTrips:
             },
         )
         event.provenance = chain
-        back = roundtrip(event, provenance=True)
+        back = roundtrip(event)
         assert back.params["time"] == 90
         assert back.params["intInfo"] == 4
         assert back.provenance is not None
@@ -164,8 +166,10 @@ class TestEventRoundTrips:
         assert primitive.summary == ("context", "TaskForceCtx", "Deadline", 20)
 
     def test_unknown_type_name_raises(self):
-        with pytest.raises(WireError):
-            event_from_wire({"type": "T_unheard_of", "params": {}})
+        unheard_of = EventType("T_unheard_of", base_parameters())
+        event = Event.trusted(unheard_of, {"time": 1, "source": "x"})
+        with pytest.raises(WireError, match="T_unheard_of"):
+            roundtrip(event)
 
     def test_registered_custom_type_resolves(self):
         custom = EventType(
@@ -177,49 +181,65 @@ class TestEventRoundTrips:
 
 
 class TestValueEncoding:
+    """Parameter values inside events: the shapes a JSON framing could
+    not carry natively all cross as themselves."""
+
+    def news_event(self, relevance):
+        return Event.trusted(
+            NEWS_EVENT_TYPE,
+            {
+                "time": 9,
+                "source": "E_news",
+                "queryId": "query-3",
+                "headline": "outbreak contained",
+                "relevance": relevance,
+            },
+        )
+
     def test_dollar_keys_in_payload_mappings_are_protected(self):
-        value = {"$fs": "not a frozenset", "plain": 1}
-        encoded = encode_value(value)
-        assert "$d" in encoded
-        assert decode_value(encoded) == value
+        value = {"$fs": "not a frozenset", "$t": [1], "plain": 1}
+        assert roundtrip(self.news_event(value)).params["relevance"] == value
 
     def test_nested_structures(self):
-        value = (1, frozenset({("a", 2)}), [None, {"k": (3,)}])
-        assert decode_value(encode_value(value)) == value
+        value = (1, frozenset({("a", 2)}), [None, {"k": (3,)}], {7: "int key"})
+        back = roundtrip(self.news_event(value)).params["relevance"]
+        assert back == value
+        assert type(back[1]) is frozenset and type(back[2][1]["k"]) is tuple
 
     def test_unencodable_value_raises(self):
-        with pytest.raises(WireError):
-            encode_value(object())
+        import datetime
 
-    def test_as_tuples_normalizes_json_lists(self):
-        assert as_tuples([1, [2, 3], "x"]) == (1, (2, 3), "x")
+        with pytest.raises(WireError, match="date"):
+            roundtrip(self.news_event(datetime.date(2000, 2, 28)))
 
 
 class TestFraming:
     def test_round_trip(self):
         buffer = io.BytesIO()
-        write_frame(buffer, {"kind": "stats", "n": 3})
-        write_frame(buffer, {"kind": "flush"})
+        writer = BinaryFrameWriter(buffer)
+        writer.write({"kind": "stats", "n": 3})
+        writer.write({"kind": "flush"})
         buffer.seek(0)
-        assert read_frame(buffer) == {"kind": "stats", "n": 3}
-        assert read_frame(buffer) == {"kind": "flush"}
-        assert read_frame(buffer) is None  # clean EOF
+        reader = BinaryFrameReader(buffer)
+        assert reader.read() == {"kind": "stats", "n": 3}
+        assert reader.read() == {"kind": "flush"}
+        assert reader.read() is None  # clean EOF
 
     def test_truncated_payload_raises(self):
         buffer = io.BytesIO()
-        write_frame(buffer, {"kind": "events", "events": list(range(50))})
+        BinaryFrameWriter(buffer).write(
+            {"kind": "events", "events": list(range(50))}
+        )
         data = buffer.getvalue()
         truncated = io.BytesIO(data[: len(data) - 5])
         with pytest.raises(WireError):
-            read_frame(truncated)
+            BinaryFrameReader(truncated).read()
 
     def test_truncated_header_raises(self):
         with pytest.raises(WireError):
-            read_frame(io.BytesIO(b"\x00\x00"))
+            BinaryFrameReader(io.BytesIO(b"\x00\x00")).read()
 
     def test_oversized_length_prefix_is_refused(self):
-        import struct
-
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(WireError):
-            read_frame(io.BytesIO(header))
+            BinaryFrameReader(io.BytesIO(header)).read()
