@@ -472,7 +472,12 @@ def _cmd_shards(args: argparse.Namespace) -> int:
         f"{totals['events_ingested']} events over {args.forces} task "
         f"forces, {len(notifications)} notifications merged\n"
     )
-    headers = ["shard", "alive", "events", "queue", "recognized", "notifs"]
+    # The credit-window columns: frames in flight, credits left in the
+    # window, and how often ingest stalled on this shard.
+    headers = [
+        "shard", "alive", "events", "queue", "recognized", "notifs",
+        "inflight", "credits", "stalls",
+    ]
     table = [
         [
             row["shard"],
@@ -481,21 +486,12 @@ def _cmd_shards(args: argparse.Namespace) -> int:
             row.get("queue_depth", 0),
             row.get("composites_recognized", 0),
             row.get("notifications", 0),
+            row["inflight"],
+            row["credits"],
+            row["stalls"],
         ]
         for row in rows
     ]
-    if args.backend == "process":
-        # Credit-window columns: frames in flight, credits left in the
-        # window, and how often ingest stalled on this shard.
-        headers.extend(["inflight", "credits", "stalls"])
-        for line, row in zip(table, rows):
-            line.extend(
-                [
-                    row.get("inflight", 0),
-                    row.get("credits", 0),
-                    row.get("stalls", 0),
-                ]
-            )
     if args.durable:
         headers.extend(["journal", "recovered"])
         for line, row in zip(table, rows):
@@ -731,27 +727,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
             lines.append(
                 f"shards ({shard_cursor}/{len(shard_events)} events fed):"
             )
-            # Only --durable runs the block on the process backend,
-            # where the credit window exists.
-            process_backend = bool(args.durable)
-            credit_cols = (
-                f" {'inflight':>8} {'credits':>7}" if process_backend else ""
-            )
             durable_cols = (
                 f" {'journal':>8} {'recovered':>9}" if args.durable else ""
             )
             lines.append(
                 f"  {'shard':>5} {'alive':>5} {'events':>7} {'queue':>6} "
-                f"{'recognized':>10} {'notifs':>7}{credit_cols}"
-                f"{durable_cols}"
+                f"{'recognized':>10} {'notifs':>7} {'inflight':>8} "
+                f"{'credits':>7}{durable_cols}"
             )
             for row in shard_federation.shard_stats():
-                credit_vals = (
-                    f" {row.get('inflight', 0):>8} "
-                    f"{row.get('credits', 0):>7}"
-                    if process_backend
-                    else ""
-                )
                 durable_vals = (
                     f" {row.get('journal_frames', 0):>8} "
                     f"{row.get('recoveries', 0):>9}"
@@ -764,7 +748,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
                     f"{row.get('events_ingested', 0):>7} "
                     f"{row.get('queue_depth', 0):>6} "
                     f"{row.get('composites_recognized', 0):>10} "
-                    f"{row.get('notifications', 0):>7}{credit_vals}"
+                    f"{row.get('notifications', 0):>7} "
+                    f"{row['inflight']:>8} {row['credits']:>7}"
                     f"{durable_vals}"
                 )
             health = shard_federation.health()

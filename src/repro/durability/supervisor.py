@@ -19,7 +19,7 @@ durability loop:
   rebuilt pipeline.  Replay regenerates the per-shard notification
   stream deterministically, so notifications the facade already merged
   come back with the same ``(time, shard, seq)`` keys — the sequence
-  high-watermark in :meth:`SupervisedShard.flush` drops them, and the
+  high-watermark in :meth:`SupervisedShard.end_flush` drops them, and the
   merged stream continues exactly where it left off.
 
 The retry discipline is asymmetric by design: **mutations are never
@@ -44,13 +44,13 @@ from .log import FrameLog
 from .snapshot import ShardSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..parallel.federation import ProcessShard, ShardConfig
-    from ..parallel.mux import MuxChannel
+    from ..parallel.federation import Shard, ShardConfig
+    from ..parallel.mux import Channel
 
 #: A respawn callback: fork a replacement worker for ``shard_id`` booted
 #: from ``blueprint_wire`` (the facade supplies it so the child closes
 #: every sibling pipe and journal fd it inherits).
-Respawn = Callable[[int, Dict[str, Any]], "ProcessShard"]
+Respawn = Callable[[int, Dict[str, Any]], "Shard"]
 
 JOURNAL_FILENAME = "journal.log"
 #: The name predates the binary snapshot format and is kept on purpose:
@@ -91,7 +91,7 @@ class SupervisedShard:
 
     def __init__(
         self,
-        inner: "ProcessShard",
+        inner: "Shard",
         config: "ShardConfig",
         blueprint: FederationBlueprint,
         respawn: Respawn,
@@ -123,7 +123,7 @@ class SupervisedShard:
         self._genesis_index = self.journal.frame_count
         self._snapshot: Optional[ShardSnapshot] = None
         #: Highest notification sequence the facade has merged; replayed
-        #: duplicates at or below it are dropped in :meth:`flush`.
+        #: duplicates at or below it are dropped in :meth:`end_flush`.
         self._seq_high = -1
         #: Highest structured-log sequence number forwarded to the
         #: facade; records a recovered worker re-emits during journal
@@ -140,12 +140,19 @@ class SupervisedShard:
         return self.inner.alive
 
     @property
-    def channel(self) -> "MuxChannel":
+    def channel(self) -> "Channel":
         """The current worker's multiplexer channel (changes on respawn)."""
         return self.inner.channel
 
-    def has_credit(self) -> bool:
-        return self.inner.has_credit()
+    def parent_fds(self) -> List[int]:
+        """The worker's pipe ends plus the journal fd (see
+        :meth:`~repro.parallel.federation.Shard.parent_fds`)."""
+        fds = self.inner.parent_fds()
+        try:
+            fds.append(self.journal.fileno())
+        except (OSError, ValueError):  # pragma: no cover - closed
+            pass
+        return fds
 
     # -- observability forwarding ------------------------------------------
 
@@ -196,7 +203,7 @@ class SupervisedShard:
         self.journal.append(frame)
         self._metrics["journal_frames"].inc()
         try:
-            self.inner._send(frame, credit=credit)
+            self.inner.send(frame, credit=credit)
         except ShardCrashError:
             # The frame is already in the journal: recovery replays it
             # into the replacement worker.  Resending would double-apply.
@@ -237,14 +244,6 @@ class SupervisedShard:
             self._seq_high = int(fresh[-1]["seq"])
         return fresh
 
-    def flush(self) -> List[Dict[str, Any]]:
-        try:
-            records = self.inner.flush()
-        except ShardCrashError:
-            self.recover()
-            records = self.inner.flush()
-        return self._fresh_records(records)
-
     def stats(self) -> Dict[str, int]:
         try:
             stats = dict(self.inner.stats())
@@ -257,13 +256,6 @@ class SupervisedShard:
         stats["recoveries"] = self.recoveries
         stats["journal_frames"] = self.journal.frame_count
         return stats
-
-    def sync(self) -> None:
-        try:
-            self.inner.sync()
-        except ShardCrashError:
-            self.recover()
-            self.inner.sync()
 
     # -- split-phase collectives (recover-and-retry on either phase) -------
 
@@ -301,7 +293,8 @@ class SupervisedShard:
             stats, errors = self.inner.end_stats(frame)
         except ShardCrashError:
             self.recover()
-            stats, errors = self.inner._stats_round_trip()
+            self.inner.begin_stats()
+            stats, errors = self.inner.end_stats()
         return self._augment_stats(dict(stats)), errors
 
     # -- snapshots ---------------------------------------------------------
@@ -332,8 +325,8 @@ class SupervisedShard:
         """
         frame_index = self.journal.frame_count
         try:
-            self.inner._send({"kind": "snapshot"})
-            state = self.inner._receive("snapshot")["state"]
+            self.inner.send({"kind": "snapshot"})
+            state = self.inner.receive("snapshot")["state"]
         except ShardCrashError:
             self.recover()
             return None
@@ -377,7 +370,7 @@ class SupervisedShard:
         Boot state is the latest snapshot (blueprint + operator state)
         or the genesis blueprint; then every journal frame above the
         covered index replays through the rebuilt pipeline in order.
-        The final ``sync()`` round-trips the channel so a restore or
+        The final stats round trip checks the channel so a restore or
         replay failure surfaces here — as a recovery error — rather
         than poisoning the next regular operation.
         """
@@ -413,21 +406,21 @@ class SupervisedShard:
         # never collide with them.  The fresh channel's credit window
         # lazily re-bases on the first replayed frame's sequence — the
         # in-flight window is re-credited, not inherited.
-        self.inner._next_seq = old._next_seq
+        self.inner.next_seq = old.next_seq
         self._install_sink()
         if snapshot is not None:
-            self.inner._send({"kind": "restore", "state": snapshot.state})
+            self.inner.send({"kind": "restore", "state": snapshot.state})
         for frame in tail:
             # The sampled waves in the tail already shipped their spans
             # before the crash; replay with the sampling decision forced
             # off so the assembler never sees the same wave twice.  (The
             # journal file itself is untouched.)  Event frames replay
             # under the same credit discipline as live traffic.
-            self.inner._send(
+            self.inner.send(
                 strip_trace_sampling(frame),
                 credit=frame.get("kind") == "events",
             )
-        self.inner.sync()
+        self.inner.stats()
         _SLOG.emit(
             "durability",
             "shard_recovered",

@@ -7,15 +7,21 @@ federation-wide, notifications come back as one deterministically merged
 stream, and ``stats()`` aggregates so the observability surfaces
 (``repro shards``, ``repro top``, health views) read one federation.
 
-Two backends, selected by :class:`ShardConfig`:
+One shard class, two backends, selected by :class:`ShardConfig`.
+Every :class:`Shard` speaks the same frame protocol to a
+:class:`~repro.parallel.worker.FrameHandler` — the one per-frame
+dispatch — over a channel registered in one
+:class:`~repro.parallel.mux.ChannelMultiplexer`; only the transport
+differs:
 
-* ``serial`` (default) — every shard is an in-process
-  :class:`~repro.parallel.host.ShardHost`; zero IPC, zero encoding.
-  Tier-1 tests and the differential suites run here: the routing, the
-  merge, and the facade logic are identical to the process backend, so
+* ``serial`` (default) — the handler runs in this process behind a
+  :class:`~repro.parallel.mux.LoopbackChannel`; frames pass by
+  reference and are never encoded (DESIGN note 14).  Tier-1 tests and
+  the differential suites run here: routing, merge, deploy/undeploy
+  fan-out, stats and flush take exactly the process backend's path, so
   correctness is cheap to check.
 * ``process`` — each shard is a forked OS worker running
-  :func:`~repro.parallel.worker.worker_main`; events cross the binary
+  :func:`~repro.parallel.worker.worker_main`; frames cross the binary
   wire of :mod:`~repro.parallel.codec` in routed batches, and
   recognition runs on as many cores as there are shards.
 
@@ -31,9 +37,12 @@ the serial stream with per-instance order intact (QE11 asserts this).
 **Crash containment.**  A dead worker surfaces as a structured log entry
 plus :class:`~repro.errors.ShardCrashError` on the next interaction —
 never a hang: reads fail fast on EOF, and shutdown uses a poison pill
-with a join timeout before escalating to ``terminate()``.
+with a join timeout before escalating to ``terminate()``.  An
+in-process shard whose handler raises anything but a
+:class:`~repro.errors.ReproError` dies the same way, with that
+exception as the crash error's ``__cause__``.
 
-**Overlapped I/O.**  On the process backend every collective —
+**Overlapped I/O.**  Every collective —
 :meth:`ShardedFederation.drain`, deploy/undeploy sync, ``stats()``,
 ``refresh_observability()`` — broadcasts its request to every live
 shard first and then gathers the responses as they arrive through one
@@ -50,11 +59,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ParallelError, ShardCrashError
+from ..errors import ParallelError, ShardCrashError, WireError
 from ..events.event import Event
 from ..observability import INSTRUMENTATION as _OBS
 from ..observability import STRUCTURED_LOG as _SLOG
@@ -74,9 +84,16 @@ from ..observability.trace import (
 )
 from .codec import HELLO_MAGIC
 from .host import FederationBlueprint, ShardHost, ShardSpec
-from .mux import ChannelMultiplexer, MuxChannel, inflight_snapshot
+from .mux import (
+    Channel,
+    ChannelMultiplexer,
+    LoopbackChannel,
+    MuxChannel,
+    inflight_snapshot,
+)
 from .router import ShardRouter
 from .wire import SEQ_KEY, attach_trace
+from .worker import FrameHandler, worker_main
 
 BACKENDS = ("serial", "process")
 
@@ -225,134 +242,43 @@ def _notification_from_record(
     )
 
 
-class SerialShard:
-    """An in-process shard: direct calls, no encoding, no IPC."""
+class Shard:
+    """One shard: a channel in the federation's multiplexer, plus the
+    forked worker behind it on the process backend.
 
-    backend = "serial"
-
-    def __init__(self, shard_id: int, config: ShardConfig) -> None:
-        self.shard_id = shard_id
-        self.alive = True
-        self.host = ShardHost(
-            shard_id, config.shards, share_plans=config.share_plans
-        )
-        #: Receives this shard's observability payloads (set by the
-        #: facade); serial shards harvest straight from the host on
-        #: every read, mirroring the frames a worker would send.
-        self.observability_sink: ObservabilitySink = None
-        self._pending_flush: Optional[List[Dict[str, Any]]] = None
-        self._pending_stats: Optional[Dict[str, int]] = None
-
-    def bootstrap(self, blueprint: FederationBlueprint) -> None:
-        self.host.apply_blueprint(blueprint)
-
-    def send_events(
-        self, events: List[Event], ctx: Optional[TraceContext] = None
-    ) -> None:
-        self.host.ingest(events, ctx)
-
-    def deploy(self, spec: ShardSpec) -> None:
-        self.host.deploy_spec(spec)
-
-    def undeploy(self, spec_id: str) -> None:
-        self.host.undeploy_spec(spec_id)
-
-    def flush(self) -> List[Dict[str, Any]]:
-        records = self.host.drain_results()
-        self._harvest()
-        return records
-
-    def stats(self) -> Dict[str, int]:
-        stats = self.host.stats()
-        self._harvest()
-        return stats
-
-    # -- split-phase collectives (degenerate: serial shards answer
-    # -- synchronously, so "begin" already computes the response) ----------
-
-    def begin_flush(self) -> None:
-        self._pending_flush = self.flush()
-
-    def end_flush(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
-        records, self._pending_flush = self._pending_flush, None
-        return records if records is not None else self.flush()
-
-    def begin_stats(self) -> None:
-        self._pending_stats = self.stats()
-
-    def end_stats(
-        self, frame: Optional[Dict[str, Any]] = None
-    ) -> Tuple[Dict[str, int], List[str]]:
-        stats, self._pending_stats = self._pending_stats, None
-        return (stats if stats is not None else self.stats()), []
-
-    def _harvest(self) -> None:
-        """Feed the sink what a worker would piggyback on this exchange.
-
-        Only the *system* registry ships: serial shards share the
-        facade's process-wide default registry (stage histograms and
-        durability counters), which the facade merges once under its own
-        shard label instead of once per shard.  Logs likewise live in
-        the shared process log, drained centrally by the facade.
-        """
-        sink = self.observability_sink
-        if sink is None:
-            return
-        sink(
-            {
-                "registry": self.host.system.metrics.snapshot(),
-                "spans": self.host.drain_spans(),
-            }
-        )
-
-    def sync(self) -> None:
-        """Nothing buffered, nothing remote: always consistent."""
-
-    def close(self) -> None:
-        if self.alive:
-            self.alive = False
-            self.host.close()
-
-
-class ProcessShard:
-    """A forked worker behind two pipes (events in, results out).
-
-    The pipes live inside a :class:`~repro.parallel.mux.MuxChannel`
-    owned by the federation's :class:`ChannelMultiplexer`: writes are
-    queued and pumped non-blocking, reads are readiness-driven, and a
-    fresh shard means fresh interning tables on both pipe directions —
-    the respawn-resets-the-tables contract lives in the channel.
+    A fresh shard means a fresh channel, and with it fresh interning
+    tables on both pipe directions — the respawn-resets-the-tables
+    contract lives in the channel.
     """
-
-    backend = "process"
 
     def __init__(
         self,
         shard_id: int,
         config: ShardConfig,
-        process: Any,
         mux: ChannelMultiplexer,
-        channel: MuxChannel,
+        channel: Channel,
+        process: Any = None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
-        self.process = process
         self.mux = mux
         self.channel = channel
+        #: The forked worker; ``None`` for an in-process shard.
+        self.process = process
+        self.backend = "serial" if process is None else "process"
         self.alive = True
         #: Sequence number of the next event frame; survives a respawn
         #: (the supervisor copies it onto the replacement shard) so
         #: journal-replayed frames keep their original numbers.
-        self._next_seq = 0
-        #: Receives the ``observability`` payloads the worker piggybacks
+        self.next_seq = 0
+        #: Receives the ``observability`` payloads the shard piggybacks
         #: on stats/results frames (set by the facade).
         self.observability_sink: ObservabilitySink = None
 
     # -- channel ----------------------------------------------------------
 
     def _crashed(self, reason: str) -> ShardCrashError:
+        exit_code = None if self.process is None else self.process.exitcode
         if self.alive:
             self.alive = False
             _SLOG.emit(
@@ -361,20 +287,23 @@ class ProcessShard:
                 level="error",
                 shard=self.shard_id,
                 reason=reason,
-                exit_code=self.process.exitcode,
+                exit_code=exit_code,
             )
-        return ShardCrashError(
+        error = ShardCrashError(
             f"shard {self.shard_id} worker died ({reason}; "
-            f"exit code {self.process.exitcode})"
+            f"exit code {exit_code})"
         )
+        # Also suppresses the context: the reason already attributes it.
+        error.__cause__ = self.channel.cause
+        return error
 
-    def _send(self, frame: Dict[str, Any], credit: bool = False) -> None:
+    def send(self, frame: Dict[str, Any], credit: bool = False) -> None:
         """Queue *frame* on the channel (non-blocking).
 
         With ``credit`` the send first waits for in-flight window space
         — the per-frame backpressure point of barrier paths like
         :meth:`ShardedFederation.flush_buffers` and journal replay
-        (streaming ingest checks :meth:`has_credit` instead and defers
+        (streaming ingest checks the channel's credit instead and defers
         without waiting).
         """
         if not self.alive:
@@ -386,11 +315,11 @@ class ProcessShard:
         try:
             self.channel.queue(frame)
         except BrokenPipeError as error:
-            raise self._crashed(str(error)) from None
+            raise self._crashed(str(error))
         if self.channel.dead is not None:
             raise self._crashed(self.channel.dead)
 
-    def _receive(self, expected: str) -> Dict[str, Any]:
+    def receive(self, expected: str) -> Dict[str, Any]:
         """Gather this shard's next response frame (blocking).
 
         Out-of-band ``error`` frames a dying worker emits while a
@@ -404,9 +333,9 @@ class ProcessShard:
             raise self._crashed(crashed[self.shard_id])
         return frames[self.shard_id]
 
-    def has_credit(self) -> bool:
-        """Whether an event frame can ship without stalling."""
-        return self.channel.has_credit()
+    def parent_fds(self) -> List[int]:
+        """This shard's parent-side fds a later fork must close."""
+        return list(self.channel.fds) if self.alive else []
 
     def make_events_frame(
         self, events: List[Event], ctx: Optional[TraceContext] = None
@@ -414,8 +343,8 @@ class ProcessShard:
         """Build the sequenced events frame (consumes one sequence
         number); the supervisor journals exactly this frame."""
         frame = attach_trace({"kind": "events", "events": list(events)}, ctx)
-        frame[SEQ_KEY] = self._next_seq
-        self._next_seq += 1
+        frame[SEQ_KEY] = self.next_seq
+        self.next_seq += 1
         return frame
 
     # -- shard surface ----------------------------------------------------
@@ -423,35 +352,35 @@ class ProcessShard:
     def send_events(
         self, events: List[Event], ctx: Optional[TraceContext] = None
     ) -> None:
-        self._send(self.make_events_frame(events, ctx), credit=True)
+        self.send(self.make_events_frame(events, ctx), credit=True)
 
     def deploy(self, spec: ShardSpec) -> None:
-        self._send({"kind": "deploy", "spec": spec.to_wire()})
+        self.send({"kind": "deploy", "spec": spec.to_wire()})
 
     def undeploy(self, spec_id: str) -> None:
-        self._send({"kind": "undeploy", "spec_id": spec_id})
+        self.send({"kind": "undeploy", "spec_id": spec_id})
 
     # -- split-phase collectives ------------------------------------------
 
     def begin_flush(self) -> None:
-        self._send({"kind": "flush"})
+        self.send({"kind": "flush"})
 
     def end_flush(
         self, frame: Optional[Dict[str, Any]] = None
     ) -> List[Dict[str, Any]]:
         if frame is None:
-            frame = self._receive("results")
+            frame = self.receive("results")
         self._harvest(frame)
         return frame["notifications"]
 
     def begin_stats(self) -> None:
-        self._send({"kind": "stats"})
+        self.send({"kind": "stats"})
 
     def end_stats(
         self, frame: Optional[Dict[str, Any]] = None
     ) -> Tuple[Dict[str, int], List[str]]:
         if frame is None:
-            frame = self._receive("stats")
+            frame = self.receive("stats")
         self._harvest(frame)
         return frame["stats"], list(frame.get("errors", ()))
 
@@ -466,43 +395,31 @@ class ProcessShard:
             sink(payload)
 
     def stats(self) -> Dict[str, int]:
-        stats, errors = self._stats_round_trip()
+        """Round-trip the channel; surfaces deferred worker errors."""
+        self.begin_stats()
+        stats, errors = self.end_stats()
         if errors:
             raise ParallelError(
                 f"shard {self.shard_id} reported errors: {errors}"
             )
         return stats
 
-    def sync(self) -> None:
-        """Round-trip the channel; surfaces deferred worker errors."""
-        __, errors = self._stats_round_trip()
-        if errors:
-            raise ParallelError(
-                f"shard {self.shard_id} reported errors: {errors}"
-            )
-
-    def _stats_round_trip(self) -> Tuple[Dict[str, int], List[str]]:
-        self.begin_stats()
-        return self.end_stats()
-
     def close(self) -> None:
-        if not self.alive:
-            self.discard()
-            return
-        try:
-            self._send({"kind": "shutdown"})
-            self._receive("bye")
-        except (ShardCrashError, ParallelError):
-            pass  # already down is an acceptable way to shut down
-        self.alive = False
+        if self.alive:
+            try:
+                self.send({"kind": "shutdown"})
+                self.receive("bye")
+            except (ShardCrashError, ParallelError):
+                pass  # already down is an acceptable way to shut down
         self.discard()
 
     def discard(self) -> None:
         """Tear the channel down and reap the worker (no handshake)."""
         self.alive = False
         self.mux.unregister(self.channel)
-        self.channel.close_fds()
-        self._reap()
+        self.channel.close()
+        if self.process is not None:
+            self._reap()
 
     def _reap(self) -> None:
         process = self.process
@@ -525,7 +442,7 @@ def _spawn_worker(
     blueprint_wire: Dict[str, Any],
     close_fds: List[int],
     mux: ChannelMultiplexer,
-) -> ProcessShard:
+) -> Shard:
     """Fork one worker booted from *blueprint_wire*.
 
     ``close_fds`` lists every parent-side fd the child must drop —
@@ -547,8 +464,6 @@ def _spawn_worker(
         # frames arrive without a response to piggyback the ack on.
         "ack_every": max(1, config.max_inflight // 2),
     }
-    from .worker import worker_main
-
     in_read, in_write = os.pipe()
     out_read, out_write = os.pipe()
     process = context.Process(
@@ -574,16 +489,41 @@ def _spawn_worker(
     os.write(in_write, HELLO_MAGIC)
     channel = MuxChannel(shard_id, in_write, out_read, config.max_inflight)
     mux.register(channel)
-    return ProcessShard(shard_id, config, process, mux, channel)
+    return Shard(shard_id, config, mux, channel, process)
 
 
-def _start_process_shards(
+def _open_loopback(
+    shard_id: int,
     config: ShardConfig,
     blueprint: FederationBlueprint,
     mux: ChannelMultiplexer,
-) -> List[ProcessShard]:
+) -> Shard:
+    """Boot one in-process shard behind a loopback channel.
+
+    Its handler shares the facade's default registry and structured
+    log, so it ships neither, and acks every events frame it ingests
+    (nothing is ever in flight).
+    """
+    host = ShardHost(shard_id, config.shards, share_plans=config.share_plans)
+    host.apply_blueprint(blueprint)
+    handler = FrameHandler(host, shared_registry=True)
+    channel = LoopbackChannel(shard_id, handler.handle, config.max_inflight)
+    mux.register(channel)
+    return Shard(shard_id, config, mux, channel)
+
+
+def _start_shards(
+    config: ShardConfig,
+    blueprint: FederationBlueprint,
+    mux: ChannelMultiplexer,
+) -> List[Shard]:
+    if config.backend == "serial":
+        return [
+            _open_loopback(shard_id, config, blueprint, mux)
+            for shard_id in range(config.shards)
+        ]
     blueprint_wire = blueprint.to_wire()
-    shards: List[ProcessShard] = []
+    shards: List[Shard] = []
     parent_fds: List[int] = []
     for shard_id in range(config.shards):
         shard = _spawn_worker(
@@ -591,7 +531,7 @@ def _start_process_shards(
         )
         # Every parent-side fd opened so far must be closed inside the
         # children forked later (see worker_main).
-        parent_fds.extend((shard.channel.in_fd, shard.channel.out_fd))
+        parent_fds.extend(shard.parent_fds())
         shards.append(shard)
     return shards
 
@@ -623,85 +563,75 @@ class ShardedFederation:
         #: current position: records emitted before this federation
         #: existed are history, not federation traffic.
         self._local_log_cursor = _SLOG.seq
-        self._mux: Optional[ChannelMultiplexer] = None
-        self._stalls: Optional[Counter] = None
-        self._gather_latency: Optional[Histogram] = None
-        if self.config.backend == "process":
-            self._mux = ChannelMultiplexer()
-            registry = default_registry()
-            self._stalls = registry.counter(
-                "backpressure_stalls_total",
-                "Event sends deferred or blocked on a shard's in-flight "
-                "credit window",
-                label_names=("shard",),
-            )
-            self._gather_latency = registry.histogram(
-                "gather_latency_us",
-                GATHER_LATENCY_BUCKETS,
-                "Latency of broadcast-then-gather collectives",
-                label_names=("op",),
-            )
-            facade_pid = os.getpid()
-
-            def _inflight() -> Dict[Tuple[str, ...], float]:
-                # Workers inherit this registry (and this callback)
-                # across fork; only the facade process owns channels.
-                if os.getpid() != facade_pid:
-                    return {}
-                return inflight_snapshot(self._live_channels())
-
-            registry.multi_callback_gauge(
-                "shard_inflight",
-                _inflight,
-                "Event frames in flight (sent, unacked) per shard",
-                label_names=("shard",),
-            )
-            self._mux.on_stall = lambda channel: self._count_stall(
-                channel.shard_id
-            )
-            workers = _start_process_shards(
-                self.config, blueprint, self._mux
-            )
-            if self.config.durable_dir is not None:
-                from ..durability.supervisor import SupervisedShard
-
-                try:
-                    self.shards: List[Any] = [
-                        SupervisedShard(
-                            worker,
-                            self.config,
-                            blueprint,
-                            self._respawn_worker,
-                        )
-                        for worker in workers
-                    ]
-                except BaseException:
-                    # A refused durable directory: reap the workers.
-                    for worker in workers:
-                        worker.discard()
-                    self._mux.close()
-                    raise
-            else:
-                self.shards = list(workers)
-        else:
+        if self.config.backend == "serial":
             if self.config.instrument and not _OBS.enabled:
-                # Workers own their instrumentation plane; serial shards
-                # share this process's, so flip it here and restore on
-                # close.
+                # Workers own their instrumentation plane; in-process
+                # shards share this process's, so flip it here and
+                # restore on close.
                 self._restore_instrumentation = _OBS.enabled
                 _OBS.reset()
                 _OBS.enable()
             if self.config.ship_logs and not _SLOG.enabled:
-                # Same deal for the structured log: serial shards record
-                # into this process's ring, drained by logs().
+                # Same deal for the structured log: in-process shards
+                # record into this process's ring, drained by logs().
                 self._restore_logging = _SLOG.enabled
                 _SLOG.enabled = True
-            self.shards = [
-                SerialShard(shard_id, self.config)
-                for shard_id in range(self.config.shards)
-            ]
-            for shard in self.shards:
-                shard.bootstrap(blueprint)
+        self.shards: List[Any] = []
+        self._mux = ChannelMultiplexer()
+        registry = default_registry()
+        self._stalls: Counter = registry.counter(
+            "backpressure_stalls_total",
+            "Event sends deferred or blocked on a shard's in-flight "
+            "credit window",
+            label_names=("shard",),
+        )
+        self._gather_latency: Histogram = registry.histogram(
+            "gather_latency_us",
+            GATHER_LATENCY_BUCKETS,
+            "Latency of broadcast-then-gather collectives",
+            label_names=("op",),
+        )
+        facade_pid = os.getpid()
+        # The process-wide registry holds this callback until the next
+        # federation replaces it; a weak reference lets a closed
+        # federation (and its in-process pipelines) be freed.
+        facade = weakref.ref(self)
+
+        def _inflight() -> Dict[Tuple[str, ...], float]:
+            # Workers inherit this registry (and this callback) across
+            # fork; only the facade process owns channels.
+            live = facade()
+            if live is None or os.getpid() != facade_pid:
+                return {}
+            return inflight_snapshot(live._live_channels())
+
+        registry.multi_callback_gauge(
+            "shard_inflight",
+            _inflight,
+            "Event frames in flight (sent, unacked) per shard",
+            label_names=("shard",),
+        )
+        self._mux.on_stall = lambda channel: self._count_stall(
+            channel.shard_id
+        )
+        shards = _start_shards(self.config, blueprint, self._mux)
+        self.shards = list(shards)
+        if self.config.durable_dir is not None:
+            from ..durability.supervisor import SupervisedShard
+
+            try:
+                self.shards = [
+                    SupervisedShard(
+                        shard, self.config, blueprint, self._respawn_worker
+                    )
+                    for shard in shards
+                ]
+            except BaseException:
+                # A refused durable directory: reap the workers.
+                for shard in shards:
+                    shard.discard()
+                self._mux.close()
+                raise
         for shard in self.shards:
             shard.observability_sink = (
                 lambda payload, sid=shard.shard_id: self._on_observability(
@@ -720,47 +650,24 @@ class ShardedFederation:
 
     # -- backpressure plumbing ----------------------------------------------
 
-    def _live_channels(self) -> List[MuxChannel]:
-        channels: List[MuxChannel] = []
-        for shard in getattr(self, "shards", ()):
-            channel = getattr(shard, "channel", None)
-            if channel is not None and shard.alive:
-                channels.append(channel)
-        return channels
+    def _live_channels(self) -> List[Channel]:
+        return [shard.channel for shard in self.shards if shard.alive]
 
     def _count_stall(self, shard_id: int) -> None:
-        if self._stalls is not None:
-            self._stalls.inc(labels=(str(shard_id),))
+        self._stalls.inc(labels=(str(shard_id),))
 
     # -- recovery plumbing --------------------------------------------------
 
-    def _parent_fds(self) -> List[int]:
-        """Every parent-side fd a freshly forked worker must close:
-        the live siblings' pipe ends and the shards' journal fds."""
-        fds: List[int] = []
-        for shard in self.shards:
-            inner = getattr(shard, "inner", shard)
-            if getattr(inner, "alive", False) and inner.backend == "process":
-                fds.extend((inner.channel.in_fd, inner.channel.out_fd))
-            journal = getattr(shard, "journal", None)
-            if journal is not None:
-                try:
-                    fds.append(journal.fileno())
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-        return fds
-
     def _respawn_worker(
         self, shard_id: int, blueprint_wire: Dict[str, Any]
-    ) -> ProcessShard:
-        """Fork a replacement worker (the supervisor's respawn hook)."""
-        assert self._mux is not None
+    ) -> Shard:
+        """Fork a replacement worker (the supervisor's respawn hook).
+
+        The child must close every parent-side fd: the live siblings'
+        pipe ends and the shards' journal fds."""
+        parent_fds = [fd for shard in self.shards for fd in shard.parent_fds()]
         return _spawn_worker(
-            shard_id,
-            self.config,
-            blueprint_wire,
-            self._parent_fds(),
-            self._mux,
+            shard_id, self.config, blueprint_wire, parent_fds, self._mux
         )
 
     # -- events ------------------------------------------------------------
@@ -802,8 +709,7 @@ class ShardedFederation:
                     self._deferred[index] = True
                     self.shards[index].channel.stalls += 1
                     self._count_stall(index)
-                if self._mux is not None:
-                    self._mux.pump(0.0)
+                self._mux.pump(0.0)
                 if not self._can_ship(index):
                     continue
             if ctx is None and self.config.instrument:
@@ -817,50 +723,64 @@ class ShardedFederation:
         the crash (or triggers supervised recovery) instead of
         deferring forever.
         """
-        shard = self.shards[index]
-        channel = getattr(shard, "channel", None)
-        if channel is None or channel.dead is not None:
-            return True
-        return bool(channel.has_credit())
+        channel = self.shards[index].channel
+        return channel.dead is not None or bool(channel.has_credit())
 
-    def _ship(self, index: int, ctx: Optional[TraceContext]) -> None:
-        """Ship as many full batches of shard *index* as credit allows."""
+    def _ship(
+        self,
+        index: int,
+        ctx: Optional[TraceContext],
+        barrier: bool = False,
+    ) -> None:
+        """Ship shard *index*'s buffered batches, in order.
+
+        Streaming: full batches only, as far as credit allows.  With
+        ``barrier`` every batch ships, partial ones too, each send
+        waiting for credit.  A batch the codec cannot encode is dropped
+        from the buffer before the :class:`WireError` surfaces, so one
+        bad event cannot wedge the shard.
+        """
         buffer = self._buffers[index]
         shard = self.shards[index]
         batch_size = self.config.batch_size
-        start = 0
-        while len(buffer) - start >= batch_size and self._can_ship(index):
-            shard.send_events(buffer[start:start + batch_size], ctx)
-            start += batch_size
-        if start:
-            self._buffers[index] = buffer = buffer[start:]
-        self._deferred[index] = len(buffer) >= batch_size
+        least = 1 if barrier else batch_size
+        sent = 0
+        try:
+            while len(buffer) - sent >= least and (
+                barrier or self._can_ship(index)
+            ):
+                batch = buffer[sent:sent + batch_size]
+                try:
+                    shard.send_events(batch, ctx)
+                except WireError as error:
+                    sent += len(batch)
+                    raise WireError(
+                        f"shard {index}: dropped a batch of {len(batch)} "
+                        f"events that cannot be encoded: {error}"
+                    ) from error
+                sent += len(batch)
+        finally:
+            if sent:
+                self._buffers[index] = buffer = buffer[sent:]
+            self._deferred[index] = len(buffer) >= batch_size
 
     def flush_buffers(self) -> None:
         """Ship every partial batch (events keep per-shard order).
 
-        This is a barrier: deferred batches ship too, each send waiting
-        for its shard's credit window (the multiplexer keeps pumping
-        every channel during the wait, so the acks that free the window
-        can arrive).
+        This is a barrier: deferred batches ship too, as separate
+        frames so the credit window keeps counting what it meters, each
+        send waiting for its shard's credit window (the multiplexer
+        keeps pumping every channel during the wait, so the acks that
+        free the window can arrive).
         """
         if not any(self._buffers):
             return
         ctx: Optional[TraceContext] = None
         if self.config.instrument:
             ctx = self.trace_assembler.begin("federation.flush")
-        batch_size = self.config.batch_size
         for index, buffer in enumerate(self._buffers):
-            if not buffer:
-                continue
-            shard = self.shards[index]
-            # Deferred batches may have stacked past one batch_size;
-            # ship them as separate frames so the credit window keeps
-            # counting what it meters (frames in flight).
-            for start in range(0, len(buffer), batch_size):
-                shard.send_events(buffer[start:start + batch_size], ctx)
-            self._buffers[index] = []
-            self._deferred[index] = False
+            if buffer:
+                self._ship(index, ctx, barrier=True)
 
     # -- specification lifecycle ------------------------------------------
 
@@ -905,8 +825,8 @@ class ShardedFederation:
         attributed.  With ``tolerant``, dead shards are skipped and
         crashes drop the shard from the result instead of raising.
 
-        On the serial backend the same code degenerates to one
-        synchronous call per shard in shard order.
+        On the serial backend every answer is already in its loopback
+        inbox when the broadcast returns, so the gather never waits.
         """
         shards = [s for s in self.shards if not tolerant or s.alive]
         begun: List[Any] = []
@@ -922,19 +842,13 @@ class ShardedFederation:
                 if not tolerant:
                     failures.append(error)
         frames: Dict[int, Dict[str, Any]] = {}
-        if self._mux is not None:
-            wants = {
-                shard.shard_id: _COLLECTIVE_RESPONSE[op]
-                for shard in begun
-                if getattr(shard, "channel", None) is not None
-            }
-            if wants:
-                started = perf_counter()
-                frames, __ = self._mux.gather(wants)
-                if self._gather_latency is not None:
-                    self._gather_latency.observe(
-                        (perf_counter() - started) * 1e6, labels=(op,)
-                    )
+        wants = {shard.shard_id: _COLLECTIVE_RESPONSE[op] for shard in begun}
+        if wants:
+            started = perf_counter()
+            frames, __ = self._mux.gather(wants)
+            self._gather_latency.observe(
+                (perf_counter() - started) * 1e6, labels=(op,)
+            )
         results: List[Tuple[Any, Any]] = []
         for shard in begun:
             frame = frames.get(shard.shard_id)
@@ -1070,13 +984,10 @@ class ShardedFederation:
             }
             # Credit-window columns (after the collect: its piggybacked
             # acks retire credits, so these read the settled window).
-            channel = getattr(shard, "channel", None)
-            if channel is not None:
-                row["inflight"] = channel.outstanding
-                row["credits"] = max(
-                    0, channel.max_inflight - channel.outstanding
-                )
-                row["stalls"] = channel.stalls
+            channel = shard.channel
+            row["inflight"] = channel.outstanding
+            row["credits"] = max(0, channel.max_inflight - channel.outstanding)
+            row["stalls"] = channel.stalls
             row.update(stats_by_id.get(shard.shard_id, {}))
             rows.append(row)
         return rows
@@ -1122,8 +1033,7 @@ class ShardedFederation:
                 shard.close()
             except ShardCrashError:  # pragma: no cover - already logged
                 pass
-        if self._mux is not None:
-            self._mux.close()
+        self._mux.close()
         if self._restore_instrumentation is not None:
             _OBS.enabled = self._restore_instrumentation
         if self._restore_logging is not None:

@@ -4,7 +4,8 @@ Each shard — whether it lives in the facade's process (serial backend)
 or in a forked worker (process backend) — hosts a complete Figure 5
 pipeline: event bus, detector DAGs, and delivery.  :class:`ShardHost`
 wraps the :class:`~repro.federation.system.EnactmentSystem` with exactly
-the surface the sharding layer needs:
+the surface the sharding layer needs; on both backends it is driven by
+frames, through :class:`~repro.parallel.worker.FrameHandler`:
 
 * **blueprint application** — participants, global roles, and awareness
   specifications (as DSL text, the repository's spec interchange format)
@@ -167,10 +168,10 @@ class ShardHost:
         self._detectors: Dict[str, Any] = {}
         self._ingested: int = 0
         self._frames: int = 0
-        #: Highest event-frame sequence number received (the worker's
+        #: Highest event-frame sequence number received (the shard's
         #: cumulative credit ack).  ``None`` until a sequenced frame
-        #: arrives — unsequenced frames (serial shards) never participate
-        #: in the credit window.
+        #: arrives; every events frame the facade sends is sequenced,
+        #: on both backends.
         self.last_seq: Optional[int] = None
         self._reported: int = 0
         #: Bus publishes counted by a previous incarnation (snapshot
@@ -181,8 +182,8 @@ class ShardHost:
         self._span_batches: List[Dict[str, Any]] = []
         self._spans_dropped: int = 0
         #: Whether this host ships its process structured log to the
-        #: facade (process-backend workers only; the worker entry point
-        #: sets it from the shard options).
+        #: facade (process-backend workers only; the frame handler sets
+        #: it).
         self.ship_logs: bool = False
 
     # -- sources -----------------------------------------------------------
@@ -315,8 +316,8 @@ class ShardHost:
         instrumentation is on — the id-free provenance ``signature()`` of
         the delivery, computed *here* so the report is not capped by the
         tracker's ring buffer.  Values are native (tuples, frozensets):
-        a serial shard hands the records to the facade as they are, a
-        worker ships them through the codec.
+        a loopback channel hands the records to the facade by reference,
+        a worker ships them through the codec.
         """
         records = self.queue.records
         seq_offset = self.queue.seq_offset

@@ -43,6 +43,13 @@ per worker) and drives all of them from one ``selectors`` loop:
   pumping every channel while it waits (so the ack that releases the
   stall can actually arrive).
 
+* **Two transports, one routing.**  :class:`MuxChannel` carries frames
+  over a forked worker's pipes; :class:`LoopbackChannel` (the serial
+  backend) hands them by reference to an in-process
+  :class:`~repro.parallel.worker.FrameHandler` and never encodes —
+  that would add about 30 µs/event to ``stream-serial`` (DESIGN note
+  14).  Both route responses through :meth:`Channel._dispatch`.
+
 Everything here is single-threaded: the facade thread drives the loop,
 so there is no locking and the credit arithmetic cannot race.
 """
@@ -56,7 +63,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import WireError
 from .codec import BinaryDecoder, BinaryEncoder
-from .wire import ACK_KIND, ACKED_KEY, MAX_FRAME_BYTES, SEQ_KEY
+from .wire import ACK_KIND, ACKED_KEY, MAX_FRAME_BYTES, SEQ_KEY, error_frame
 
 #: Bytes requested per ``os.read`` when a channel's read end is ready.
 READ_CHUNK = 1 << 16
@@ -67,42 +74,25 @@ READ_CHUNK = 1 << 16
 POLL_INTERVAL = 0.05
 
 
-class MuxChannel:
-    """One worker's duplex channel under the multiplexer.
+#: Serves one frame, writing responses through the callback (see
+#: :meth:`~repro.parallel.worker.FrameHandler.handle`).
+FrameServer = Callable[
+    [Mapping[str, Any], Callable[[Dict[str, Any]], None]], bool
+]
 
-    Owns the raw (non-blocking) pipe fds, the outbound byte queue, the
-    inbound parse buffer, the decoded-frame inbox, and the credit
-    window accounting.  All state transitions happen on the facade
-    thread via the owning :class:`ChannelMultiplexer`.
+
+class Channel:
+    """One shard's channel: the inbox, the credit window, crash
+    attribution and response routing.  Subclasses supply the transport
+    (``queue``).  All state transitions happen on the facade thread.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        in_fd: int,
-        out_fd: int,
-        max_inflight: int,
-    ) -> None:
+    #: Parent-side file descriptors a forked worker must not inherit.
+    fds: Tuple[int, ...] = ()
+
+    def __init__(self, shard_id: int, max_inflight: int) -> None:
         self.shard_id = shard_id
-        #: Facade-to-worker pipe end (events, requests).
-        self.in_fd = in_fd
-        #: Worker-to-facade pipe end (responses, acks, errors).
-        self.out_fd = out_fd
         self.max_inflight = max_inflight
-        os.set_blocking(in_fd, False)
-        os.set_blocking(out_fd, False)
-        # A fresh channel means fresh interning tables on both pipe
-        # directions — the respawn-resets-the-tables contract of the
-        # binary codec holds because the encoder/decoder live here.
-        self._encoder = BinaryEncoder()
-        self._decoder = BinaryDecoder()
-        #: Encoded frames (length prefix included) awaiting pipe space.
-        self._outq: Deque[bytes] = deque()
-        #: Bytes of the queue head already written to the pipe.
-        self._head_offset = 0
-        #: Total bytes queued but not yet written (facade-side memory).
-        self.pending_bytes = 0
-        self._inbuf = bytearray()
         #: Decoded worker frames awaiting correlation, arrival order.
         self.inbox: Deque[Dict[str, Any]] = deque()
         #: Highest event-frame sequence queued on *this* channel, and
@@ -116,7 +106,8 @@ class MuxChannel:
         self.stalls = 0
         #: Crash attribution; ``None`` while the channel is healthy.
         self.dead: Optional[str] = None
-        self._closed = False
+        #: The exception that killed an in-process shard, if one did.
+        self.cause: Optional[BaseException] = None
 
     # -- credit window -----------------------------------------------------
 
@@ -131,18 +122,10 @@ class MuxChannel:
         """Whether one more event frame fits the in-flight window."""
         return self.dead is None and self.outstanding < self.max_inflight
 
-    # -- outbound ----------------------------------------------------------
-
-    def queue(self, frame: Mapping[str, Any]) -> None:
-        """Queue *frame* for transmission and pump what fits now.
-
-        Event frames carrying :data:`SEQ_KEY` advance the credit
-        window; callers gate on :meth:`has_credit` (or
-        :meth:`ChannelMultiplexer.wait_for_credit`) first.
-        """
-        if self.dead is not None:
-            raise BrokenPipeError(self.dead)
-        data = self._encoder.encode_frame(frame)
+    def _note_sent(self, frame: Mapping[str, Any]) -> None:
+        """Advance the credit window if *frame* is a sequenced event
+        frame; callers gate on :meth:`has_credit` (or
+        :meth:`ChannelMultiplexer.wait_for_credit`) first."""
         seq = frame.get(SEQ_KEY)
         if frame.get("kind") == "events" and isinstance(seq, int):
             if self.last_sent_seq is None:
@@ -150,6 +133,118 @@ class MuxChannel:
                 # it carries defines the window's origin.
                 self.last_acked_seq = seq - 1
             self.last_sent_seq = seq
+
+    def queue(self, frame: Mapping[str, Any]) -> None:
+        """Deliver *frame* to the shard (never blocks)."""
+        raise NotImplementedError
+
+    # -- inbound -----------------------------------------------------------
+
+    def _dispatch(self, frame: Dict[str, Any]) -> None:
+        """Route one response frame: credits here, the rest to the inbox.
+
+        ``error`` frames — a worker's last words, possibly racing a
+        gather for a different response — mark the channel dead with
+        the worker's reason attributed instead of being mistaken for a
+        protocol violation.  Standalone acks are pure credit grants and
+        never reach the inbox.
+        """
+        acked = frame.get(ACKED_KEY)
+        if isinstance(acked, int) and (
+            self.last_acked_seq is None or acked > self.last_acked_seq
+        ):
+            self.last_acked_seq = acked
+        kind = frame.get("kind")
+        if kind == ACK_KIND:
+            return
+        if kind == "error":
+            self.fail(f"worker error: {frame.get('error')}")
+            return
+        self.inbox.append(frame)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def fail(self, reason: str) -> None:
+        """Mark the channel dead (first reason wins)."""
+        if self.dead is None:
+            self.dead = reason
+
+    def close(self) -> None:
+        """Release the transport (idempotent)."""
+
+
+class LoopbackChannel(Channel):
+    """An in-process shard's channel: frames pass by reference.
+
+    The answer is in the inbox before :meth:`queue` returns.  An
+    exception escaping the server (it keeps ReproErrors) kills the
+    channel as it would kill a worker, kept as :attr:`Channel.cause`.
+    """
+
+    def __init__(
+        self, shard_id: int, server: FrameServer, max_inflight: int
+    ) -> None:
+        super().__init__(shard_id, max_inflight)
+        self._server = server
+
+    def queue(self, frame: Mapping[str, Any]) -> None:
+        if self.dead is not None:
+            raise BrokenPipeError(self.dead)
+        self._note_sent(frame)
+        try:
+            self._server(frame, self._dispatch)
+        except Exception as error:
+            self.cause = error
+            self._dispatch(error_frame(error))
+
+    def close(self) -> None:
+        self.fail("channel closed")
+
+
+class MuxChannel(Channel):
+    """One forked worker's duplex channel under the multiplexer.
+
+    Owns the raw (non-blocking) pipe fds, the outbound byte queue and
+    the inbound parse buffer on top of the :class:`Channel` state.
+    """
+
+    def __init__(
+        self,
+        shard_id: int,
+        in_fd: int,
+        out_fd: int,
+        max_inflight: int,
+    ) -> None:
+        super().__init__(shard_id, max_inflight)
+        #: Facade-to-worker pipe end (events, requests).
+        self.in_fd = in_fd
+        #: Worker-to-facade pipe end (responses, acks, errors).
+        self.out_fd = out_fd
+        self.fds = (in_fd, out_fd)
+        os.set_blocking(in_fd, False)
+        os.set_blocking(out_fd, False)
+        # A fresh channel means fresh interning tables on both pipe
+        # directions — the respawn-resets-the-tables contract of the
+        # binary codec holds because the encoder/decoder live here.
+        self._encoder = BinaryEncoder()
+        self._decoder = BinaryDecoder()
+        #: Encoded frames (length prefix included) awaiting pipe space.
+        self._outq: Deque[bytes] = deque()
+        #: Bytes of the queue head already written to the pipe.
+        self._head_offset = 0
+        #: Total bytes queued but not yet written (facade-side memory).
+        self.pending_bytes = 0
+        self._inbuf = bytearray()
+        self._closed = False
+
+    # -- outbound ----------------------------------------------------------
+
+    def queue(self, frame: Mapping[str, Any]) -> None:
+        """Queue *frame* for transmission and pump what fits now."""
+        if self.dead is not None:
+            raise BrokenPipeError(self.dead)
+        data = self._encoder.encode_frame(frame)
+        self._note_sent(frame)
         self._outq.append(data)
         self.pending_bytes += len(data)
         self.pump_writes()
@@ -220,41 +315,14 @@ class MuxChannel:
         if position:
             del buffer[:position]
 
-    def _dispatch(self, frame: Dict[str, Any]) -> None:
-        """Route one decoded frame: credits here, the rest to the inbox.
-
-        ``error`` frames — a worker's last words, possibly racing a
-        gather for a different response — mark the channel dead with
-        the worker's reason attributed instead of being mistaken for a
-        protocol violation.  Standalone acks are pure credit grants and
-        never reach the inbox.
-        """
-        acked = frame.get(ACKED_KEY)
-        if isinstance(acked, int) and (
-            self.last_acked_seq is None or acked > self.last_acked_seq
-        ):
-            self.last_acked_seq = acked
-        kind = frame.get("kind")
-        if kind == ACK_KIND:
-            return
-        if kind == "error":
-            self.fail(f"worker error: {frame.get('error')}")
-            return
-        self.inbox.append(frame)
-
     # -- lifecycle ---------------------------------------------------------
 
-    def fail(self, reason: str) -> None:
-        """Mark the channel dead (first reason wins)."""
-        if self.dead is None:
-            self.dead = reason
-
-    def close_fds(self) -> None:
+    def close(self) -> None:
         """Close both pipe ends (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for fd in (self.in_fd, self.out_fd):
+        for fd in self.fds:
             try:
                 os.close(fd)
             except OSError:  # pragma: no cover - already closed
@@ -262,49 +330,61 @@ class MuxChannel:
 
 
 class ChannelMultiplexer:
-    """All worker channels behind one ``selectors`` loop."""
+    """All shard channels behind one ``selectors`` loop.
+
+    Worker pipes are registered with the selector; loopback channels
+    are not — they answer inside ``queue``, so there is nothing to
+    wait for on them.
+    """
 
     def __init__(self) -> None:
         self._selector = selectors.DefaultSelector()
-        self._channels: Dict[int, MuxChannel] = {}
-        #: Channels currently registered for write readiness (a pipe
-        #: with queued bytes); read registration is permanent.
+        self._channels: Dict[int, Channel] = {}
+        #: The registered channels that have pipes to pump.
+        self._pipes: Dict[int, MuxChannel] = {}
+        #: Pipes currently registered for write readiness (queued
+        #: bytes); read registration is permanent.
         self._write_armed: Dict[int, bool] = {}
         #: Optional stall observer: called with the stalling channel
         #: whenever a credit wait (or a deferred batch) begins.
-        self.on_stall: Optional[Callable[[MuxChannel], None]] = None
+        self.on_stall: Optional[Callable[[Channel], None]] = None
 
     # -- registration ------------------------------------------------------
 
-    def register(self, channel: MuxChannel) -> None:
+    def register(self, channel: Channel) -> None:
         self._channels[channel.shard_id] = channel
-        self._selector.register(
-            channel.out_fd, selectors.EVENT_READ, (channel, "read")
-        )
-        self._write_armed[channel.shard_id] = False
+        if isinstance(channel, MuxChannel):
+            self._pipes[channel.shard_id] = channel
+            self._selector.register(
+                channel.out_fd, selectors.EVENT_READ, (channel, "read")
+            )
+            self._write_armed[channel.shard_id] = False
 
-    def unregister(self, channel: MuxChannel) -> None:
-        """Detach *channel* (idempotent); fds stay open for the caller."""
+    def unregister(self, channel: Channel) -> None:
+        """Detach *channel* (idempotent); the caller closes it."""
         if self._channels.get(channel.shard_id) is not channel:
             return
         del self._channels[channel.shard_id]
+        pipe = self._pipes.pop(channel.shard_id, None)
+        if pipe is None:
+            return
         try:
-            self._selector.unregister(channel.out_fd)
+            self._selector.unregister(pipe.out_fd)
         except (KeyError, ValueError):  # pragma: no cover - already gone
             pass
-        if self._write_armed.pop(channel.shard_id, False):
+        if self._write_armed.pop(pipe.shard_id, False):
             try:
-                self._selector.unregister(channel.in_fd)
+                self._selector.unregister(pipe.in_fd)
             except (KeyError, ValueError):  # pragma: no cover
                 pass
 
-    def channel(self, shard_id: int) -> Optional[MuxChannel]:
+    def channel(self, shard_id: int) -> Optional[Channel]:
         return self._channels.get(shard_id)
 
     # -- the loop ----------------------------------------------------------
 
     def _arm_writes(self) -> None:
-        for shard_id, channel in self._channels.items():
+        for shard_id, channel in self._pipes.items():
             wants = channel.wants_write
             armed = self._write_armed[shard_id]
             if wants and not armed:
@@ -327,7 +407,7 @@ class ChannelMultiplexer:
         waiting for readiness; ``0`` polls.
         """
         self._arm_writes()
-        if not self._channels:
+        if not self._pipes:
             return
         for key, _events in self._selector.select(timeout):
             channel, direction = key.data
@@ -374,6 +454,9 @@ class ChannelMultiplexer:
                             f"protocol violation: expected "
                             f"{pending[shard_id]!r} frame, got {kind!r}"
                         )
+                if shard_id in pending and shard_id not in self._pipes:
+                    # A loopback answers inside queue(): none now is none.
+                    channel.fail(f"protocol violation: no {pending[shard_id]!r}")
                 if shard_id in pending and channel.dead is not None:
                     crashed[shard_id] = channel.dead
                     del pending[shard_id]
@@ -383,7 +466,7 @@ class ChannelMultiplexer:
 
     # -- backpressure ------------------------------------------------------
 
-    def wait_for_credit(self, channel: MuxChannel) -> bool:
+    def wait_for_credit(self, channel: Channel) -> bool:
         """Block until *channel* has window space; ``False`` if it died.
 
         Every other channel keeps pumping while this one waits — acks,
@@ -401,14 +484,6 @@ class ChannelMultiplexer:
             self.pump(POLL_INTERVAL)
         return True
 
-    def flush_channel(self, channel: MuxChannel) -> bool:
-        """Drive *channel*'s outbound queue dry; ``False`` if it died."""
-        while channel.wants_write:
-            self.pump(POLL_INTERVAL)
-            if channel.dead is not None:
-                return False
-        return channel.dead is None
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -418,7 +493,7 @@ class ChannelMultiplexer:
 
 
 def inflight_snapshot(
-    channels: List[MuxChannel],
+    channels: List[Channel],
 ) -> Dict[Tuple[str, ...], float]:
     """Per-shard in-flight frame counts, shaped for a multi-label gauge."""
     return {

@@ -102,6 +102,11 @@ def ack_frame(acked: int) -> Dict[str, Any]:
     return {"kind": ACK_KIND, ACKED_KEY: acked}
 
 
+def error_frame(error: BaseException) -> Dict[str, Any]:
+    """A shard's last words: the exception that is about to kill it."""
+    return {"kind": "error", "error": f"{type(error).__name__}: {error}"}
+
+
 def attach_trace(frame: Dict[str, Any], ctx: Optional[Any]) -> Dict[str, Any]:
     """Stamp *frame* with *ctx*'s wire form (no-op when ctx is ``None``).
 

@@ -168,19 +168,20 @@ class TestShardingSmoke:
         assert all(row["alive"] for row in payload["shards"])
 
     def test_serial_backend_agrees_with_the_workload_math(self, capsys):
-        code, out = run_cli(
-            capsys,
+        argv = (
             "shards",
             "--shards",
             str(SHARDS),
+            "--backend",
+            "serial",
             "--forces",
             str(FORCES),
             "--windows",
             str(WINDOWS_PER_FORCE),
             "--events",
             str(EVENTS_PER_FORCE),
-            "--json",
         )
+        code, out = run_cli(capsys, *argv, "--json")
         assert code == 0
         payload = json.loads(out)
         expected = ShardStreamWorkload(
@@ -191,3 +192,16 @@ class TestShardingSmoke:
             )
         ).expected_notifications()
         assert payload["notifications_merged"] == expected
+        # Serial shards sit behind loopback channels: the credit-window
+        # columns exist on every backend.
+        for row in payload["shards"]:
+            assert (row["inflight"], row["stalls"]) == (0, 0)
+            assert row["credits"] > 0
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        header = next(line for line in out.splitlines() if "inflight" in line)
+        assert [cell.strip() for cell in header.split("|")][-3:] == [
+            "inflight",
+            "credits",
+            "stalls",
+        ]

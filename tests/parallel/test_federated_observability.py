@@ -14,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.parallel import ShardConfig, ShardedFederation
+from repro.parallel import ShardConfig, ShardedFederation, ShardHost
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -229,29 +229,36 @@ class TestLogShipping:
 
 
 class TestStatsAggregation:
-    def test_non_numeric_worker_stats_are_namespaced_not_dropped(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_numeric_worker_stats_are_namespaced_not_dropped(
+        self, backend, monkeypatch
+    ):
         # Regression: stats() used to sum int values and silently drop
-        # everything else a shard reported.
+        # everything else a shard reported.  The stats reach the facade
+        # in a frame, so the host is patched before the federation
+        # exists (forked workers inherit the patch).
+        original = ShardHost.stats
+
+        def odd_stats(host):
+            stats = original(host)
+            if host.shard_id == 1:
+                stats["wal_state"] = "compacting"
+                stats["degraded"] = True
+            return stats
+
+        monkeypatch.setattr(ShardHost, "stats", odd_stats)
         workload = small_workload()
         with ShardedFederation(
             workload.blueprint(),
-            ShardConfig(shards=2, backend="serial"),
+            ShardConfig(shards=2, backend=backend),
         ) as federation:
             federation.ingest(workload.events())
             federation.drain()
-            original = federation.shards[1].stats
-
-            def odd_stats():
-                stats = dict(original())
-                stats["wal_state"] = "compacting"
-                stats["degraded"] = True
-                return stats
-
-            federation.shards[1].stats = odd_stats
             totals = federation.stats()
         assert totals["shard1/wal_state"] == "compacting"
         # Booleans are flags, not counters: sum(True) would read as 1.
         assert totals["shard1/degraded"] is True
+        assert "shard0/wal_state" not in totals
         assert totals["events_ingested"] == len(workload.events())
         assert "wal_state" not in totals
         assert totals["notifications_merged"] == (

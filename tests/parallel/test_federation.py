@@ -1,8 +1,10 @@
 """The sharding facade, serial backend: API, merge, differential."""
 
+import multiprocessing
+
 import pytest
 
-from repro.errors import ParallelError
+from repro.errors import ParallelError, ShardCrashError
 from repro.parallel import (
     FederationBlueprint,
     ShardConfig,
@@ -11,6 +13,14 @@ from repro.parallel import (
 )
 from repro.parallel.host import ShardHost
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the process backend requires the fork start method",
+)
+
+#: Both backends run one frame protocol, so lifecycle errors share a path.
+BACKENDS = ("serial", pytest.param("process", marks=needs_fork))
 
 
 def small_workload(**overrides):
@@ -84,7 +94,8 @@ class TestSerialFederation:
         sharded, __ = run(workload, shards=3)
         assert per_instance(sharded) == per_instance(base)
 
-    def test_runtime_deploy_and_undeploy_fan_out(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_runtime_deploy_and_undeploy_fan_out(self, backend):
         workload = small_workload(windows_per_force=1)
         blueprint = workload.blueprint()
         extra = ShardSpec(
@@ -93,7 +104,7 @@ class TestSerialFederation:
             text=workload.specification_text(0).replace("AS_TF", "AS_XX"),
         )
         with ShardedFederation(
-            blueprint, ShardConfig(shards=2, backend="serial")
+            blueprint, ShardConfig(shards=2, backend=backend)
         ) as federation:
             before = federation.stats()["specs_deployed"]
             federation.deploy(extra)
@@ -103,13 +114,53 @@ class TestSerialFederation:
             assert federation.stats()["specs_deployed"] == before
             assert extra not in federation.blueprint.specifications
 
-    def test_duplicate_deploy_raises(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_deploy_raises(self, backend):
         workload = small_workload(windows_per_force=1)
         with ShardedFederation(
-            workload.blueprint(), ShardConfig(shards=2)
+            workload.blueprint(), ShardConfig(shards=2, backend=backend)
         ) as federation:
             with pytest.raises(ParallelError):
                 federation.deploy(workload.blueprint().specifications[0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rows_carry_the_credit_window_columns(self, backend):
+        workload = small_workload()
+        config = ShardConfig(shards=2, backend=backend)
+        with ShardedFederation(workload.blueprint(), config) as federation:
+            federation.ingest(workload.events())
+            federation.drain()
+            rows = federation.shard_stats()
+        for row in rows:
+            assert row["backend"] == backend
+            # The collect's acks have settled the window.
+            assert row["inflight"] == 0
+            assert row["credits"] == config.max_inflight
+            assert row["stalls"] == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_handler_crash_surfaces_as_shard_crash(self, backend, monkeypatch):
+        # A non-ReproError inside the frame handler kills the shard on
+        # either backend; in-process, the original exception is kept as
+        # the cause.  Forked workers inherit the patch.
+        boom = RuntimeError("boom")
+
+        def broken_drain(host):
+            raise boom
+
+        monkeypatch.setattr(ShardHost, "drain_results", broken_drain)
+        workload = small_workload(windows_per_force=1)
+        federation = ShardedFederation(
+            workload.blueprint(),
+            ShardConfig(shards=1, backend=backend, join_timeout=10.0),
+        )
+        federation.ingest(workload.events())
+        with pytest.raises(ShardCrashError, match="RuntimeError: boom") as crash:
+            federation.drain()
+        if backend == "serial":
+            assert crash.value.__cause__ is boom
+        assert not federation.healthy()
+        federation.close()
 
     def test_buffering_respects_batch_size(self):
         workload = small_workload()

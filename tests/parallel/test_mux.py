@@ -64,7 +64,7 @@ class FakeWorker:
         return frames
 
     def close(self):
-        self.channel.close_fds()
+        self.channel.close()
         for fd in (self.request_fd, self.response_fd):
             try:
                 os.close(fd)

@@ -4,12 +4,15 @@ Workloads here are deliberately tiny — these tests check the protocol
 and the lifecycle, not throughput (QE11 owns that).
 """
 
+import datetime
 import multiprocessing
 import signal
 
 import pytest
 
-from repro.errors import ParallelError, ShardCrashError
+from repro.errors import ParallelError, ShardCrashError, WireError
+from repro.events.event import Event
+from repro.events.producers import CONTEXT_EVENT_TYPE
 from repro.parallel import ShardConfig, ShardSpec, ShardedFederation
 from repro.workloads.generator import ShardStreamConfig, ShardStreamWorkload
 
@@ -184,3 +187,59 @@ class TestOverlappedIO:
     def test_max_inflight_is_validated(self):
         with pytest.raises(ParallelError, match="max_inflight"):
             ShardConfig(shards=1, max_inflight=0)
+
+
+def unencodable_events(count):
+    """T_context changes on an unwatched context whose ``any``-typed new
+    value the codec cannot encode."""
+    return [
+        Event.trusted(
+            CONTEXT_EVENT_TYPE,
+            {
+                "time": 1,
+                "source": "E_context",
+                "contextId": "ctx-unwatched",
+                "contextName": "Unwatched",
+                "processAssociations": frozenset(),
+                "fieldName": "Deadline",
+                "oldFieldValue": None,
+                "newFieldValue": datetime.date(2000, 1, 1),
+            },
+        )
+        for __ in range(count)
+    ]
+
+
+class TestUnencodableEvents:
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    def test_an_unencodable_batch_is_dropped_not_wedged(self, durable, tmp_path):
+        # Regression: the failed batch stayed in the facade buffer, so
+        # every later send to the shard re-raised the same WireError.
+        workload = small_workload()
+        with ShardedFederation(
+            workload.blueprint(),
+            ShardConfig(shards=1, backend="serial", instrument=True),
+        ) as serial:
+            serial.ingest(workload.events())
+            base = serial.drain()
+        config = process_config(
+            shards=1,
+            batch_size=4,
+            durable_dir=str(tmp_path) if durable else None,
+        )
+        with ShardedFederation(workload.blueprint(), config) as federation:
+            shard = federation.shards[0]
+            journaled = shard.journal.frame_count if durable else None
+            with pytest.raises(WireError, match="shard 0: dropped a batch of 4"):
+                federation.ingest(unencodable_events(4))
+            assert federation.shard_stats()[0]["buffered"] == 0
+            if durable:
+                assert shard.journal.frame_count == journaled
+            federation.ingest(workload.events())
+            notifications = federation.drain()
+            assert federation.shard_stats()[0]["buffered"] == 0
+            assert federation.healthy()
+        assert base
+        assert sorted(map(repr, (n.signature for n in notifications))) == (
+            sorted(map(repr, (n.signature for n in base)))
+        )
